@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,9 +18,18 @@ import (
 // goldenDir holds the committed renderings the grid must reproduce.
 const goldenDir = "internal/harness/testdata"
 
-// gridSetups is how many times the grid's set-up is repeated; setup_s
-// is the median.
-const gridSetups = 9
+// The grid's set-up is what it does before its first cell: load the
+// goldens it is checked against and build one environment per worker,
+// concurrently, as the grid's workers do (EnvFactory.Env). One pass
+// takes about 10 ms, too short to time steadily on a shared host, so a
+// sample is the mean of gridSetupReps passes (about 0.2 s) and setup_s
+// is the median of gridSetups samples. Half the samples are taken
+// before the regeneration and half after it, so that a drift in the
+// host's speed during the run weighs on setup_s as it does on wall_s.
+const (
+	gridSetups    = 10
+	gridSetupReps = 20
+)
 
 // runGrid regenerates every registered experiment at the goldens'
 // options with two workers and no store, exactly as the golden suite
@@ -29,25 +39,27 @@ func runGrid(ctx context.Context, r *run) error {
 	opts := harness.DefaultOptions()
 	exps := harness.Experiments()
 
-	// Set-up: load the goldens and build one worker environment (the
-	// databases and engines every grid worker constructs before its
-	// first cell).
 	var goldens map[string][]byte
 	var setups []float64
-	for i := 0; i < gridSetups; i++ {
-		var err error
-		d := r.tr.do("setup", 0, func() {
-			goldens, err = loadGoldens(exps)
-			if err == nil {
-				_, err = harness.NewEnv(opts)
+	timeSetups := func() error {
+		runtime.GC()
+		for i := 0; i < gridSetups/2; i++ {
+			var err error
+			d := r.tr.do("setup", 0, func() {
+				for k := 0; k < gridSetupReps && err == nil; k++ {
+					goldens, err = gridSetup(opts, exps)
+				}
+			})
+			if err != nil {
+				return err
 			}
-		})
-		if err != nil {
-			return err
+			setups = append(setups, d.Seconds()/gridSetupReps)
 		}
-		setups = append(setups, d.Seconds())
+		return nil
 	}
-	r.set("setup_s", median(setups))
+	if err := timeSetups(); err != nil {
+		return err
+	}
 
 	var rendered [][]harness.Table
 	var err error
@@ -63,10 +75,16 @@ func runGrid(ctx context.Context, r *run) error {
 		r.check(got == string(goldens[e.Name]), fmt.Sprintf("grid: %s differs from %s", e.Name, goldenPath(e.Name)))
 	}
 	r.set("wall_s", wall.Seconds())
+	if err := timeSetups(); err != nil {
+		return err
+	}
+	r.set("setup_s", median(setups))
 	// The grid is one operation: regenerating the paper.
 	r.set("p50_ms", ms(wall))
 	r.set("tail_ms", ms(wall))
 	r.set("throughput_rps", 1/wall.Seconds())
+	r.set("tail_percentile", 100)
+	r.set("tail_samples", 1)
 	r.note("grid: %d experiments rendered in %.3f s with %d workers; tail_ms is the single regeneration (p100 of 1 sample)",
 		len(exps), wall.Seconds(), workers)
 
@@ -74,6 +92,26 @@ func runGrid(ctx context.Context, r *run) error {
 		return gridLayers(r, opts, exps, wall)
 	}
 	return nil
+}
+
+// gridSetup loads the goldens and builds one environment per worker,
+// which it then drops: RunExperimentsContext builds its own.
+func gridSetup(opts harness.Options, exps []harness.Experiment) (map[string][]byte, error) {
+	goldens, err := loadGoldens(exps)
+	if err != nil {
+		return nil, err
+	}
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range errs {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			_, errs[w] = harness.NewEnvFactory(opts).Env()
+		}(w)
+	}
+	wg.Wait()
+	return goldens, errors.Join(errs...)
 }
 
 func goldenPath(name string) string { return filepath.Join(goldenDir, name+".golden") }

@@ -145,9 +145,9 @@ func measureLayers(r *run) error {
 	return measureStore(r, recs, root)
 }
 
-// tallyKeyUS times harness.TallyKey over every serve cell.
+// tallyKeyUS times harness.TallyKey over every serve_warm cell.
 func tallyKeyUS(r *run, opts harness.Options, parent int) float64 {
-	specs, err := serveCells(opts, func(harness.CellSpec) bool { return true })
+	specs, err := warmCells(opts)
 	if err != nil || len(specs) == 0 {
 		return 0
 	}

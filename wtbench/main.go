@@ -1,5 +1,5 @@
 // Command wtbench is the repository's benchmark: it drives wheretime
-// from outside, through its public entry points, on one of three
+// from outside, through its public entry points, on one of two
 // workloads, checks every output for correctness and prints every
 // metric by name and unit. The last line of standard output is one
 // JSON object: {"correct", "attempted", "failed", "metrics"}.
@@ -84,17 +84,14 @@ type benchFile struct {
 	PerLayer []metricSpec `json:"per_layer"`
 }
 
-// workloads maps each workload name to its run. BENCHMARK.json lists
-// grid and serve_warm; serve_sweep runs on request only (see
-// README.md).
+// workloads maps each workload name to its run.
 var workloads = map[string]func(context.Context, *run) error{
-	"grid":        runGrid,
-	"serve_warm":  runServeWarm,
-	"serve_sweep": runServeSweep,
+	"grid":       runGrid,
+	"serve_warm": runServeWarm,
 }
 
 func main() {
-	workload := flag.String("workload", "", "workload to run: grid, serve_warm or serve_sweep")
+	workload := flag.String("workload", "", "workload to run: grid or serve_warm")
 	seed := flag.Int64("seed", 1, "seed the workload's inputs are drawn from")
 	seconds := flag.Int("seconds", 10, "length of a serve workload's timed loop")
 	traceFlag := flag.Int("trace", 0, "1 records spans and reports per-layer metrics; 0 reports end-to-end metrics")
@@ -113,7 +110,7 @@ func benchMain(workload string, seed int64, seconds, traceFlag int) error {
 	}
 	runWorkload, ok := workloads[workload]
 	if !ok {
-		return fmt.Errorf("unknown workload %q (want grid, serve_warm or serve_sweep)", workload)
+		return fmt.Errorf("unknown workload %q (want grid or serve_warm)", workload)
 	}
 	if seconds < 1 {
 		return fmt.Errorf("--seconds %d must be at least 1", seconds)
@@ -166,6 +163,9 @@ func loadBenchFile(path string) (*benchFile, error) {
 // reports under a "traced." prefix so the two records give the
 // tracing overhead.
 var e2eNames = []string{"wall_s", "throughput_rps", "p50_ms", "tail_ms", "setup_s", "peak_rss_mb"}
+
+// untracedExtras are saved beside the untraced end-to-end metrics.
+var untracedExtras = []string{"calib.drain_ns_per_event", "tail_percentile", "tail_samples"}
 
 // report prints the human-readable lines and the JSON record. An
 // end-to-end metric the workload did not measure is a bug and fails
@@ -243,14 +243,16 @@ func report(r *run, spec *benchFile) error {
 }
 
 // untracedPath holds the last untraced end-to-end record of a
-// workload, which the traced run compares itself against.
+// workload, which the traced run compares itself against, with the
+// host calibration and the tail_ms definition beside it: the JSON
+// record on stdout holds only the metrics BENCHMARK.json lists.
 func untracedPath(workload string) string {
 	return filepath.Join(outDir, "untraced-"+workload+".json")
 }
 
 func saveUntraced(r *run) {
 	e2e := make(map[string]float64)
-	for _, n := range e2eNames {
+	for _, n := range append(e2eNames, untracedExtras...) {
 		e2e[n] = r.metrics[n]
 	}
 	data, _ := json.Marshal(e2e) // a map of finite floats always marshals

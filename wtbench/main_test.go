@@ -61,63 +61,6 @@ func TestWarmCheckCatchesAlteredBody(t *testing.T) {
 	}
 }
 
-// TestSweepPlanDrawsFreshVariants checks that no cell is asked for the
-// same platform twice in one run, nor for the base platform, that the
-// plan is a function of the seed, and that seeds differ only in order.
-func TestSweepPlanDrawsFreshVariants(t *testing.T) {
-	opts := harness.DefaultOptions()
-	cells, err := serveCells(opts, func(s harness.CellSpec) bool {
-		return s.Kind == harness.CellMicro && sweepQueries[s.Query]
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rounds := sweepRounds(time.Hour)
-	plan := sweepPlan(opts, cells, 3, rounds)
-	seen := make(map[harness.CellSpec]bool)
-	for _, round := range plan {
-		if len(round) != len(cells) {
-			t.Fatalf("round has %d pairs, want %d", len(round), len(cells))
-		}
-		for _, p := range round {
-			if harness.GangKey(opts, p[0]) != harness.GangKey(opts, p[1]) {
-				t.Errorf("pair %s / %s cannot gang", p[0], p[1])
-			}
-			for _, s := range p {
-				if s.Config == opts.Config || seen[s] {
-					t.Errorf("%s drawn twice or at the base platform", s)
-				}
-				seen[s] = true
-			}
-		}
-	}
-	again := sweepPlan(opts, cells, 3, rounds)
-	for i := range plan {
-		for j := range plan[i] {
-			if plan[i][j] != again[i][j] {
-				t.Fatalf("the same seed drew a different plan")
-			}
-		}
-	}
-	// Another seed reorders the same pairs.
-	pairs := make(map[sweepPair]int)
-	for _, round := range plan {
-		for _, p := range round {
-			pairs[p]++
-		}
-	}
-	for _, round := range sweepPlan(opts, cells, 4, rounds) {
-		for _, p := range round {
-			pairs[p]--
-		}
-	}
-	for p, n := range pairs {
-		if n != 0 {
-			t.Errorf("pair %s / %s is not in both seeds' plans", p[0], p[1])
-		}
-	}
-}
-
 func TestTail(t *testing.T) {
 	xs := make([]float64, 100)
 	for i := range xs {

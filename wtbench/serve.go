@@ -18,36 +18,20 @@ import (
 	"wheretime/internal/harness"
 	"wheretime/internal/server"
 	"wheretime/internal/tracestore"
-	"wheretime/internal/xeon"
 )
 
-// warmExperiments are the experiments whose micro and TPC-C cells the
-// serve workloads post.
+// warmExperiments are the experiments whose micro and TPC-C cells
+// serve_warm posts.
 var warmExperiments = []string{"fig5.1", "ghj", "sortagg", "btree", "joinsort", "idxjoin", "tpcc"}
-
-// sweepQueries are the cells serve_sweep varies: the index-path
-// queries, whose streams are short enough for every cell to get
-// several rounds in one run.
-var sweepQueries = map[harness.QueryKind]bool{harness.IRS: true, harness.BRS: true, harness.IXJ: true}
-
-// sweepL2KB and sweepBTB span the platform variants serve_sweep draws
-// from; every combination but the base platform is a variant.
-var (
-	sweepL2KB = []int{128, 256, 512, 1024, 2048}
-	sweepBTB  = []int{128, 256, 512, 1024, 2048}
-)
-
-// sweepSetups is how many times serve_sweep builds its template store;
-// setup_s is the median.
-const sweepSetups = 3
 
 // warmSegments is how many equal time segments serve_warm's tail is
 // taken over. At 20 s a segment holds about 650 requests, so its tail
 // is about the 98.5th percentile.
 const warmSegments = 5
 
-// serveCells returns the distinct cells the named experiments declare.
-func serveCells(opts harness.Options, keep func(harness.CellSpec) bool) ([]harness.CellSpec, error) {
+// warmCells returns the distinct micro and TPC-C cells the warm
+// experiments declare.
+func warmCells(opts harness.Options) ([]harness.CellSpec, error) {
 	var exps []harness.Experiment
 	for _, name := range warmExperiments {
 		e, err := harness.Find(name)
@@ -58,7 +42,7 @@ func serveCells(opts harness.Options, keep func(harness.CellSpec) bool) ([]harne
 	}
 	var out []harness.CellSpec
 	for _, s := range gridCells(opts, exps) {
-		if keep(s) {
+		if s.Kind != harness.CellTPCD {
 			out = append(out, s)
 		}
 	}
@@ -308,16 +292,17 @@ func added(before, after []bool) int {
 	return n
 }
 
-// setLatencies reports the end-to-end metrics of a timed loop. The
-// loop is cut into segments of equal time; tail_ms is the median over
-// segments of each one's tail, so that one burst of host contention in
-// one segment does not decide the run's tail.
-func setLatencies(r *run, samples []sample, elapsed time.Duration, segments int) {
+// setLatencies reports the end-to-end metrics of the timed loop. The
+// loop is cut into warmSegments segments of equal time; tail_ms is the
+// median over segments of each one's tail, so that one burst of host
+// contention in one segment does not decide the run's tail. wall_s is
+// the loop's length: --seconds plus the last request's overrun.
+func setLatencies(r *run, samples []sample, elapsed time.Duration) {
 	lat := make([]float64, len(samples))
-	seg := make([][]float64, segments)
+	seg := make([][]float64, warmSegments)
 	for i, s := range samples {
 		lat[i] = ms(s.latency)
-		k := min(int(int64(segments)*int64(s.done)/int64(elapsed)), segments-1)
+		k := min(int(int64(warmSegments)*int64(s.done)/int64(elapsed)), warmSegments-1)
 		seg[k] = append(seg[k], lat[i])
 	}
 	var tails, pcts []float64
@@ -332,11 +317,9 @@ func setLatencies(r *run, samples []sample, elapsed time.Duration, segments int)
 	r.set("throughput_rps", float64(len(samples))/elapsed.Seconds())
 	r.set("peak_rss_mb", peakRSSMB())
 	r.note("%s: %d requests in %.3f s over %d connections", r.workload, len(samples), elapsed.Seconds(), workers)
-	if segments == 1 {
-		r.note("tail_ms is p%.2f of %d samples", pcts[0], len(samples))
-	} else {
-		r.note("tail_ms is the median over %d segments of p%.2f of about %d samples each", segments, median(pcts), len(samples)/segments)
-	}
+	r.set("tail_percentile", median(pcts))
+	r.set("tail_samples", float64(len(samples)/warmSegments))
+	r.note("tail_ms is the median over %d segments of p%.2f of about %d samples each", warmSegments, median(pcts), len(samples)/warmSegments)
 }
 
 // newStore opens a fresh store directory under the run's scratch
@@ -356,7 +339,7 @@ func newStore(r *run, name string) (*tracestore.Store, error) {
 // body must equal the one set-up received for the same cell.
 func runServeWarm(ctx context.Context, r *run) error {
 	opts := harness.DefaultOptions()
-	specs, err := serveCells(opts, func(s harness.CellSpec) bool { return s.Kind != harness.CellTPCD })
+	specs, err := warmCells(opts)
 	if err != nil {
 		return err
 	}
@@ -400,7 +383,7 @@ func runServeWarm(ctx context.Context, r *run) error {
 	if err != nil {
 		return err
 	}
-	setLatencies(r, samples, elapsed, warmSegments)
+	setLatencies(r, samples, elapsed)
 	if r.tr == nil {
 		return nil
 	}
@@ -425,20 +408,15 @@ func runServeWarm(ctx context.Context, r *run) error {
 		}
 		measured[i] = median(reps)
 	}
-	setMeasure(r, samples, measured, func(s sample) int { return s.spec })
-	return nil
-}
-
-// setMeasure reports harness.measure_ms (the median direct measure)
-// and server.self_ms: the median over requests of latency minus the
-// direct measure of the same work.
-func setMeasure(r *run, samples []sample, measured []float64, work func(sample) int) {
-	r.set("harness.measure_ms", median(append([]float64(nil), measured...)))
+	// server.self_ms: the median over requests of latency minus the
+	// direct measure of the same spec.
 	self := make([]float64, 0, len(samples))
 	for _, s := range samples {
-		self = append(self, ms(s.latency)-measured[work(s)])
+		self = append(self, ms(s.latency)-measured[s.spec])
 	}
 	r.set("server.self_ms", median(self))
+	r.set("harness.measure_ms", median(measured))
+	return nil
 }
 
 // zipfPicker draws cell indices with a skewed popularity: ranks follow
@@ -486,295 +464,4 @@ func closedLoop(ctx context.Context, r *run, c *client, bodies, want [][]byte, p
 		r.check(s.ok, fmt.Sprintf("%s: response for %s differs from the expected body", r.workload, bodies[s.spec]))
 	}
 	return all, elapsed
-}
-
-// sweepPair is two platform variants of one cell, posted together.
-type sweepPair [2]harness.CellSpec
-
-// sweepPlan lays out the rounds. Every seed uses the same pairs of
-// variants — the first 2×rounds of a fixed shuffle of the variant set —
-// because a platform's drain cost varies by up to a third between
-// variants, and runs must do the same work to be comparable. The seed
-// decides in which round each cell meets each pair, and the cell order
-// within a round.
-func sweepPlan(opts harness.Options, cells []harness.CellSpec, seed int64, rounds int) [][]sweepPair {
-	var variants []xeon.Config
-	for _, l2 := range sweepL2KB {
-		for _, btb := range sweepBTB {
-			cfg := opts.Config
-			cfg.L2SizeKB, cfg.BTBEntries = l2, btb
-			if cfg != opts.Config {
-				variants = append(variants, cfg)
-			}
-		}
-	}
-	fixed := rand.New(rand.NewSource(1)).Perm(len(variants))
-	rng := rand.New(rand.NewSource(seed))
-	pairOf := make([][]int, len(cells)) // per cell, the pair it meets in each round
-	for i := range cells {
-		pairOf[i] = rng.Perm(rounds)
-	}
-	plan := make([][]sweepPair, rounds)
-	for round := range plan {
-		for _, ci := range rng.Perm(len(cells)) {
-			var p sweepPair
-			for k := 0; k < 2; k++ {
-				p[k] = cells[ci]
-				p[k].Config = variants[fixed[2*pairOf[ci][round]+k]]
-			}
-			plan[round] = append(plan[round], p)
-		}
-	}
-	return plan
-}
-
-// sweepRoundSeconds is about how long one sweep round takes on the
-// host the benchmark was defined on (2 CPUs).
-const sweepRoundSeconds = 3
-
-// sweepRounds turns --seconds into a fixed number of rounds, at least
-// two, so that every run of the same arguments does the same work. The
-// variant set caps it: each round uses two fresh variants of every
-// cell.
-func sweepRounds(seconds time.Duration) int {
-	n := int(seconds / (sweepRoundSeconds * time.Second))
-	return max(2, min(n, (len(sweepL2KB)*len(sweepBTB)-1)/2))
-}
-
-// runServeSweep: set-up builds a template store holding the sweep
-// cells' traces and base-platform tallies; each run then starts a
-// fresh server on a fresh copy of it. The timed part sends, cell by
-// cell, two platform variants at once over the two connections — a
-// trace-store hit that gangs at K=2 — for a number of rounds set by
-// --seconds. Every body must equal a reference computed afterwards by
-// a server with no store and no batching.
-func runServeSweep(ctx context.Context, r *run) error {
-	opts := harness.DefaultOptions()
-	cells, err := serveCells(opts, func(s harness.CellSpec) bool {
-		return s.Kind == harness.CellMicro && sweepQueries[s.Query]
-	})
-	if err != nil {
-		return err
-	}
-	base := make([][]byte, len(cells))
-	for i, s := range cells {
-		base[i] = requestBody(opts, s)
-	}
-
-	// Set-up: populate the template through the server, several times
-	// over; each build must answer the same bodies.
-	var setups []float64
-	var baseWant [][]byte
-	template := ""
-	for k := 0; k < sweepSetups; k++ {
-		sp := r.tr.begin("setup", 0, 0)
-		start := time.Now()
-		name := fmt.Sprintf("template%d", k)
-		store, err := newStore(r, name)
-		if err != nil {
-			return err
-		}
-		d, err := startDaemon(opts, store, true)
-		if err != nil {
-			return err
-		}
-		c := newClient(d.ts.URL, r)
-		got, err := postAll(ctx, c, base, sp)
-		c.closeIdle()
-		if cerr := d.close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("serve_sweep set-up: %w", err)
-		}
-		setups = append(setups, time.Since(start).Seconds())
-		r.tr.end(sp)
-		if baseWant == nil {
-			baseWant = got
-		} else {
-			for i := range got {
-				r.check(bytes.Equal(got[i], baseWant[i]), fmt.Sprintf("serve_sweep: set-up %d answered %s differently", k, base[i]))
-			}
-		}
-		if template != "" {
-			os.RemoveAll(template)
-		}
-		template = filepath.Join(r.dir, name)
-	}
-	r.set("setup_s", median(setups))
-
-	if err := copyDir(template, filepath.Join(r.dir, "run")); err != nil {
-		return err
-	}
-	store, err := tracestore.OpenRecovering(filepath.Join(r.dir, "run"))
-	if err != nil {
-		return err
-	}
-	d, err := startDaemon(opts, store, true)
-	if err != nil {
-		return err
-	}
-	defer d.close()
-	c := newClient(d.ts.URL, r)
-	defer c.closeIdle()
-
-	plan := sweepPlan(opts, cells, r.seed, sweepRounds(r.seconds))
-	var sent []harness.CellSpec
-	for _, round := range plan {
-		for _, p := range round {
-			sent = append(sent, p[0], p[1])
-		}
-	}
-	wasTallied := tallied(opts, store, sent)
-	before, err := snapshot(ctx, c, store)
-	if err != nil {
-		return err
-	}
-	loop := r.tr.begin("timed_loop", 0, 0)
-	samples, bodies, pairOf, elapsed := sweepLoop(ctx, r, c, opts, plan, loop)
-	r.tr.end(loop)
-	after, err := snapshot(ctx, c, store)
-	if err != nil {
-		return err
-	}
-	setLatencies(r, samples, elapsed, 1)
-	if r.tr != nil {
-		if err := sweepMeasure(ctx, r, opts, template, plan[0], samples, pairOf); err != nil {
-			return err
-		}
-	}
-
-	// The reference: the same specs on a server with no store and no
-	// batching, outside the timed region and outside set-up.
-	refSpan := r.tr.begin("reference", 0, 0)
-	ref, err := startDaemon(opts, nil, false)
-	if err != nil {
-		return err
-	}
-	rc := newClient(ref.ts.URL, r)
-	refBodies := make([][]byte, len(sent))
-	for i, s := range sent {
-		refBodies[i] = requestBody(opts, s)
-	}
-	want, err := postAll(ctx, rc, refBodies, refSpan)
-	rc.closeIdle()
-	if cerr := ref.close(); err == nil {
-		err = cerr
-	}
-	r.tr.end(refSpan)
-	if err != nil {
-		return fmt.Errorf("serve_sweep reference: %w", err)
-	}
-	for i := range samples {
-		r.check(samples[i].ok && bytes.Equal(bodies[i], want[i]),
-			fmt.Sprintf("serve_sweep: response for %s differs from the reference", refBodies[i]))
-	}
-	if r.tr == nil {
-		return nil
-	}
-
-	setDeltas(r, before, after, added(wasTallied, tallied(opts, store, sent)))
-	return nil
-}
-
-// sweepMeasure times a direct MeasureContext of each first-round pair,
-// as one gang, on a second copy of the template, and relates it to the
-// latency of the same pair's requests.
-func sweepMeasure(ctx context.Context, r *run, opts harness.Options, template string, pairs []sweepPair, samples []sample, pairOf []int) error {
-	if err := copyDir(template, filepath.Join(r.dir, "measure")); err != nil {
-		return err
-	}
-	mstore, err := tracestore.OpenRecovering(filepath.Join(r.dir, "measure"))
-	if err != nil {
-		return err
-	}
-	mopts := opts
-	mopts.Store = mstore
-	measured := make([]float64, len(pairs))
-	for i, p := range pairs {
-		var err error
-		dur := r.tr.do("harness.MeasureContext", 0, func() {
-			_, err = harness.MeasureContext(ctx, mopts, p[:], 1)
-		})
-		if err != nil {
-			return fmt.Errorf("serve_sweep: measuring %s: %w", p[0], err)
-		}
-		measured[i] = ms(dur)
-	}
-	var first []sample
-	for _, s := range samples {
-		if pairOf[s.spec] < len(pairs) {
-			first = append(first, s)
-		}
-	}
-	setMeasure(r, first, measured, func(s sample) int { return pairOf[s.spec] })
-	return nil
-}
-
-// sweepLoop posts the plan pair by pair, the two variants of a pair at
-// once over the two connections.
-func sweepLoop(ctx context.Context, r *run, c *client, opts harness.Options, plan [][]sweepPair, parent int) (
-	samples []sample, bodies [][]byte, pairOf []int, elapsed time.Duration) {
-	start := time.Now()
-	pair := 0
-	for _, pairs := range plan {
-		for _, p := range pairs {
-			var res [2]sample
-			var got [2][]byte
-			var errs [2]error
-			var wg sync.WaitGroup
-			first := len(samples)
-			for k := 0; k < 2; k++ {
-				wg.Add(1)
-				go func(k int) {
-					defer wg.Done()
-					status, body, lat, err := c.post(ctx, requestBody(opts, p[k]), parent)
-					if err == nil && status != http.StatusOK {
-						err = fmt.Errorf("status %d: %s", status, body)
-					}
-					errs[k] = err
-					got[k] = body
-					res[k] = sample{spec: first + k, latency: lat, done: time.Since(start), ok: err == nil}
-				}(k)
-			}
-			wg.Wait()
-			for k := 0; k < 2; k++ {
-				if errs[k] != nil {
-					fmt.Fprintf(os.Stderr, "wtbench: serve_sweep: %s: %v\n", p[k], errs[k])
-				}
-				samples = append(samples, res[k])
-				bodies = append(bodies, got[k])
-				pairOf = append(pairOf, pair)
-			}
-			pair++
-		}
-	}
-	return samples, bodies, pairOf, time.Since(start)
-}
-
-// copyDir copies the regular files of src into a fresh dst.
-func copyDir(src, dst string) error {
-	if err := os.RemoveAll(dst); err != nil {
-		return err
-	}
-	if err := os.MkdirAll(dst, 0o755); err != nil {
-		return err
-	}
-	entries, err := os.ReadDir(src)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		if !e.Type().IsRegular() {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
-			return err
-		}
-	}
-	return nil
 }
