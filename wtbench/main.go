@@ -307,19 +307,16 @@ func median(xs []float64) float64 {
 	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
-// tail returns the highest percentile of xs that has at least ten
-// samples beyond it, with that percentile. With ten samples or fewer
-// it returns the maximum as the 100th percentile.
-func tail(xs []float64) (value, percentile float64) {
+// percentile returns the p-th percentile of xs by nearest rank, and
+// how many samples lie beyond it, leaving xs sorted.
+func percentile(xs []float64, p float64) (value float64, beyond int) {
 	sort.Float64s(xs)
 	n := len(xs)
 	if n == 0 {
 		return 0, 0
 	}
-	if n <= 10 {
-		return xs[n-1], 100
-	}
-	return xs[n-11], 100 * float64(n-10) / float64(n)
+	rank := min(max(int(math.Ceil(p/100*float64(n))), 1), n)
+	return xs[rank-1], n - rank
 }
 
 // ms converts a duration to milliseconds.

@@ -47,7 +47,7 @@ func TestWarmCheckCatchesAlteredBody(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	samples, _ := closedLoop(ctx, r, c, bodies, want, 0)
+	samples, _ := closedLoop(ctx, r, c, bodies, want, r.seconds, 0)
 	if len(samples) == 0 || r.attempted != len(samples) || r.failed != 0 {
 		t.Fatalf("true body: %d samples, %d attempted, %d failed; want all passing", len(samples), r.attempted, r.failed)
 	}
@@ -55,22 +55,21 @@ func TestWarmCheckCatchesAlteredBody(t *testing.T) {
 	altered := bytes.Clone(want[0])
 	altered[len(altered)/2] ^= 1
 	bad := newTestRun(t)
-	samples, _ = closedLoop(ctx, bad, c, bodies, [][]byte{altered}, 0)
+	samples, _ = closedLoop(ctx, bad, c, bodies, [][]byte{altered}, bad.seconds, 0)
 	if len(samples) == 0 || bad.failed != len(samples) || bad.attempted != len(samples) {
 		t.Fatalf("altered body: %d samples, %d attempted, %d failed; want every sample failed", len(samples), bad.attempted, bad.failed)
 	}
 }
 
-func TestTail(t *testing.T) {
+func TestPercentile(t *testing.T) {
 	xs := make([]float64, 100)
 	for i := range xs {
 		xs[i] = float64(100 - i)
 	}
-	v, p := tail(xs)
-	if v != 90 || p != 90 {
-		t.Errorf("tail of 1..100 = %v at p%v, want 90 at p90", v, p)
+	if v, beyond := percentile(xs, 90); v != 90 || beyond != 10 {
+		t.Errorf("p90 of 1..100 = %v with %d beyond, want 90 with 10 beyond", v, beyond)
 	}
-	if v, p := tail([]float64{3, 1, 2}); v != 3 || p != 100 {
-		t.Errorf("tail of 3 samples = %v at p%v, want the maximum at p100", v, p)
+	if v, beyond := percentile([]float64{3, 1, 2}, 90); v != 3 || beyond != 0 {
+		t.Errorf("p90 of 3 samples = %v with %d beyond, want the maximum with none beyond", v, beyond)
 	}
 }
