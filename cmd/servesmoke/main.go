@@ -4,7 +4,8 @@
 // over real HTTP and real signals —
 //
 //  1. concurrent identical POSTs coalesce into fewer simulations and
-//     byte-identical responses;
+//     byte-identical responses, and a warm repost is answered from the
+//     stored tally without a simulation or a batching window;
 //  2. corrupting a stored trace quarantines the file and the cell
 //     recomputes correctly (byte-identical to a fresh-store server);
 //  3. a concurrent burst of K platform variants of one workload forms
@@ -140,6 +141,7 @@ type healthz struct {
 	Status      string `json:"status"`
 	Simulations int64  `json:"simulations"`
 	Coalesced   int64  `json:"coalesced"`
+	TallyHits   int64  `json:"tallyHits"`
 	Batch       *struct {
 		BatchedRequests int64   `json:"batchedRequests"`
 		GangsFormed     int64   `json:"gangsFormed"`
@@ -213,11 +215,31 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if h.Simulations+h.Coalesced != n || h.Coalesced < 1 {
-		return fmt.Errorf("coalescing: simulations=%d coalesced=%d, want sum %d with coalesced >= 1",
-			h.Simulations, h.Coalesced, n)
+	if h.Simulations+h.Coalesced+h.TallyHits != n || h.Coalesced < 1 {
+		return fmt.Errorf("coalescing: simulations=%d coalesced=%d tallyHits=%d, want sum %d with coalesced >= 1",
+			h.Simulations, h.Coalesced, h.TallyHits, n)
 	}
 	fmt.Printf("servesmoke: coalesced %d/%d requests into %d simulation(s)\n", h.Coalesced, n, h.Simulations)
+
+	// A warm repost of the same cell is a tally hit: it answers the
+	// same bytes without a simulation and without entering a window.
+	status, warm, err := post(p.addr, cell)
+	if err != nil || status != http.StatusOK || !bytes.Equal(warm, bodies[0]) {
+		return fmt.Errorf("warm repost: status %d err %v, body equal=%v", status, err, bytes.Equal(warm, bodies[0]))
+	}
+	hw, err := getHealth(p.addr)
+	if err != nil {
+		return err
+	}
+	if h.Batch == nil || hw.Batch == nil {
+		return fmt.Errorf("no batch section in /healthz with the default gang window")
+	}
+	if hw.TallyHits != h.TallyHits+1 || hw.Simulations != h.Simulations ||
+		hw.Batch.BatchedRequests != h.Batch.BatchedRequests {
+		return fmt.Errorf("warm repost: tallyHits %d->%d simulations %d->%d batchedRequests %d->%d, want one more tally hit and nothing else",
+			h.TallyHits, hw.TallyHits, h.Simulations, hw.Simulations, h.Batch.BatchedRequests, hw.Batch.BatchedRequests)
+	}
+	fmt.Println("servesmoke: warm repost answered from the stored tally, no simulation, no window")
 
 	// 2. Corruption: rot every stored trace byte-wise, then measure a
 	// platform variant that warm-starts from them. The server must

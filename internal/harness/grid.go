@@ -70,10 +70,10 @@ func emissionKey(spec CellSpec) CellSpec {
 }
 
 // configFor resolves a spec's platform: its explicit Config, or the
-// environment's when the spec leaves it zero.
-func (env *Env) configFor(spec CellSpec) xeon.Config {
+// options' when the spec leaves it zero.
+func (o Options) configFor(spec CellSpec) xeon.Config {
 	if spec.Config == (xeon.Config{}) {
-		return env.Opts.Config
+		return o.Config
 	}
 	return spec.Config
 }
@@ -115,7 +115,7 @@ func microCell(opts Options, s engine.System, q QueryKind) CellSpec {
 // from the base. Not safe for concurrent use — the concurrent grid
 // gives each worker a private Env via EnvFactory.
 func (env *Env) RunSpec(spec CellSpec) (Cell, error) {
-	cfg := env.configFor(spec)
+	cfg := env.Opts.configFor(spec)
 	switch spec.Kind {
 	case CellTPCD:
 		return env.runTPCDMemo(spec.System, cfg)
@@ -166,7 +166,7 @@ func (env *Env) microTarget(spec CellSpec) (*Env, error) {
 func (env *Env) RunGang(unit []CellSpec) ([]Cell, error) {
 	cfgs := make([]xeon.Config, len(unit))
 	for i := range unit {
-		cfgs[i] = env.configFor(unit[i])
+		cfgs[i] = env.Opts.configFor(unit[i])
 	}
 	spec := unit[0]
 	switch spec.Kind {
@@ -384,6 +384,9 @@ type Results struct {
 	// env, when set, measures missing cells on demand: the serial path
 	// and the env-backed compatibility wrappers use it.
 	env *Env
+	// envs counts the environments MeasureContext built to fill the
+	// set, so tests can assert that stored answers built none.
+	envs int
 }
 
 // envResults wraps an environment as a lazily-measuring result set.
@@ -522,6 +525,9 @@ func Measure(opts Options, specs []CellSpec, parallel int) (*Results, error) {
 // never cancelled is byte-identical to Measure, which the golden
 // matrix pins. A store opened from Options.StoreDir is flushed even on
 // the cancelled path — the cells already measured warm the next run.
+// Before any environment is built, every work unit is offered to the
+// tally store (see StoredTallies); units it answers count as done, and
+// only the rest are simulated.
 func MeasureContext(ctx context.Context, opts Options, specs []CellSpec, parallel int) (*Results, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -530,7 +536,7 @@ func MeasureContext(ctx context.Context, opts Options, specs []CellSpec, paralle
 	specs = dedupeSpecs(specs)
 	gang := opts.Gang && !opts.Unbatched
 	units := gangUnits(opts, specs)
-	res := &Results{cells: make(map[CellSpec]Cell, len(specs))}
+	total := len(units)
 
 	// A StoreDir opens one persistent store for the whole run, shared
 	// across every worker (the Store is mutex-guarded) and flushed at
@@ -558,22 +564,33 @@ func MeasureContext(ctx context.Context, opts Options, specs []CellSpec, paralle
 		return retErr
 	}
 
+	// Stored tallies first: a unit the store answers whole costs its
+	// index reads and nothing else, and counts as done. Only the units
+	// left over get an environment; a fully tallied grid builds none.
+	res, units := answerUnits(opts, units)
+	answered := total - len(units)
+	if len(units) == 0 {
+		return res, finish(nil)
+	}
+
 	if parallel <= 1 {
 		env, err := NewEnv(opts)
 		if err != nil {
 			return nil, err
 		}
 		defer env.Close()
-		for done, unit := range units {
+		res.envs = 1
+		for i, unit := range units {
+			done := answered + i
 			if cerr := ctx.Err(); cerr != nil {
-				return res, finish(&PartialError{Done: done, Total: len(units), Err: cerr})
+				return res, finish(&PartialError{Done: done, Total: total, Err: cerr})
 			}
 			cells, err := measureUnit(env, unit, gang)
 			if err != nil {
 				if cerr := ctx.Err(); cerr != nil {
 					// The unit stopped at an in-cell cancellation
 					// barrier, not on a simulation failure.
-					return res, finish(&PartialError{Done: done, Total: len(units), Err: cerr})
+					return res, finish(&PartialError{Done: done, Total: total, Err: cerr})
 				}
 				return nil, fmt.Errorf("harness: %w", err)
 			}
@@ -619,8 +636,9 @@ func MeasureContext(ctx context.Context, opts Options, specs []CellSpec, paralle
 	for _, env := range envs {
 		env.Close()
 	}
+	res.envs = len(envs)
 
-	done := 0
+	done := answered
 	var firstErr error
 	for i, o := range outcomes {
 		if o.err != nil {
@@ -638,7 +656,7 @@ func MeasureContext(ctx context.Context, opts Options, specs []CellSpec, paralle
 		done++
 	}
 	if cerr := ctx.Err(); cerr != nil {
-		return res, finish(&PartialError{Done: done, Total: len(units), Err: cerr})
+		return res, finish(&PartialError{Done: done, Total: total, Err: cerr})
 	}
 	if firstErr != nil {
 		return nil, fmt.Errorf("harness: %w", firstErr)

@@ -268,11 +268,13 @@ type Cell struct {
 // An Env is single-threaded, like the engines and pipelines under it:
 // the concurrent grid gives each worker a private Env via EnvFactory.
 type Env struct {
-	Opts    Options
-	Dims    workload.Dims
-	nsm     *workload.Database
-	pax     *workload.Database
-	engines [4]*engine.Engine
+	Opts Options
+	Dims workload.Dims
+
+	// data holds the databases and engines, built on first use (see
+	// build). A pointer, so selectivity shifts — shallow copies of an
+	// Env — share one build instead of each paying for their own.
+	data *envData
 
 	// memo caches measured cells at the env's own options, so several
 	// figures over the same cells don't re-simulate.
@@ -305,6 +307,18 @@ type Env struct {
 	oltpBuf *trace.Buffer
 }
 
+// envData is the expensive half of an Env: the NSM and PAX databases
+// with their indexes, and one engine per system. Cells answered from a
+// stored trace and TPC-C cells (which build their own database) never
+// touch it, so it is built lazily.
+type envData struct {
+	built   bool
+	err     error
+	nsm     *workload.Database
+	pax     *workload.Database
+	engines [4]*engine.Engine
+}
+
 type memoKey struct {
 	s   engine.System
 	q   QueryKind
@@ -320,26 +334,16 @@ func (o Options) Dims() workload.Dims {
 	return dims.Scaled(o.Scale)
 }
 
-// NewEnv builds the two databases (row layout for systems A/C/D,
-// PAX layout for the cache-conscious System B) and four engines.
+// NewEnv returns an environment for one option set. The two databases
+// (row layout for systems A/C/D, PAX layout for the cache-conscious
+// System B) and the four engines are built on first use; NewEnv only
+// rejects the options that build would fail on.
 func NewEnv(opts Options) (*Env, error) {
 	dims := opts.Dims()
-
-	nsm, err := workload.Build(dims, storage.NSM)
-	if err != nil {
-		return nil, err
+	if dims.RecordSize < storage.MinRecordSize {
+		return nil, fmt.Errorf("workload: record size %d below minimum %d", dims.RecordSize, storage.MinRecordSize)
 	}
-	if err := nsm.BuildIndexes(); err != nil {
-		return nil, err
-	}
-	pax, err := workload.Build(dims, storage.PAX)
-	if err != nil {
-		return nil, err
-	}
-	if err := pax.BuildIndexes(); err != nil {
-		return nil, err
-	}
-	env := &Env{Opts: opts, Dims: dims, nsm: nsm, pax: pax,
+	env := &Env{Opts: opts, Dims: dims, data: &envData{},
 		memo: make(map[memoKey]Cell), subenvs: make(map[int]*Env)}
 	if opts.maxRecorded() >= 0 {
 		env.traces = newTraceCache(opts.traceCacheBytes())
@@ -359,22 +363,65 @@ func NewEnv(opts Options) (*Env, error) {
 			env.ownStore = true
 		}
 	}
-	for _, s := range engine.Systems() {
-		env.engines[s] = engine.New(s, env.database(s).Catalog)
-	}
 	return env, nil
 }
 
-// database returns the database a system runs over (B gets PAX).
-func (env *Env) database(s engine.System) *workload.Database {
-	if engine.DefaultProfile(s).DataLayout == storage.PAX {
-		return env.pax
+// build makes the databases and engines on first use and reports the
+// outcome of that one attempt on every later call.
+func (env *Env) build() error {
+	d := env.data
+	if d.built {
+		return d.err
 	}
-	return env.nsm
+	d.built = true
+	if d.nsm, d.err = buildDatabase(env.Dims, storage.NSM); d.err != nil {
+		return d.err
+	}
+	if d.pax, d.err = buildDatabase(env.Dims, storage.PAX); d.err != nil {
+		return d.err
+	}
+	for _, s := range engine.Systems() {
+		d.engines[s] = engine.New(s, env.database(s).Catalog)
+	}
+	return nil
 }
 
-// Engine returns the engine for a system.
-func (env *Env) Engine(s engine.System) *engine.Engine { return env.engines[s] }
+// buildDatabase generates one layout of R and S with its indexes.
+func buildDatabase(dims workload.Dims, layout storage.Layout) (*workload.Database, error) {
+	db, err := workload.Build(dims, layout)
+	if err != nil {
+		return nil, err
+	}
+	if err := db.BuildIndexes(); err != nil {
+		return nil, err
+	}
+	return db, nil
+}
+
+// database returns the database a system runs over (B gets PAX). Only
+// valid after build.
+func (env *Env) database(s engine.System) *workload.Database {
+	if engine.DefaultProfile(s).DataLayout == storage.PAX {
+		return env.data.pax
+	}
+	return env.data.nsm
+}
+
+// engine returns the engine for a system, building on first use.
+func (env *Env) engine(s engine.System) (*engine.Engine, error) {
+	if err := env.build(); err != nil {
+		return nil, err
+	}
+	return env.data.engines[s], nil
+}
+
+// Engine returns the engine for a system, building the databases on
+// first use; nil if that build fails, which NewEnv's checks rule out
+// for any options it accepted.
+func (env *Env) Engine(s engine.System) *engine.Engine {
+	e, _ := env.engine(s)
+	return e
+}
 
 // queryFor returns the SQL and plan for a (system, query) pair, and
 // whether the pair is valid (System A skips the index-based kinds IRS
@@ -417,7 +464,11 @@ func (env *Env) queryFor(s engine.System, q QueryKind) (string, bool) {
 // matching the paper's protocol of running query (1) before the index
 // exists, and the scenario kinds pin their operator with a plan hint.
 func (env *Env) planFor(s engine.System, q QueryKind, query string) (*sql.Plan, error) {
-	opts := env.engines[s].PlanOptions()
+	e, err := env.engine(s)
+	if err != nil {
+		return nil, err
+	}
+	opts := e.PlanOptions()
 	switch q {
 	case SRS, SAG:
 		opts.UseIndex = false
@@ -532,13 +583,12 @@ func (env *Env) run(s engine.System, q QueryKind, cfg xeon.Config) (Cell, error)
 		return Cell{}, fmt.Errorf("harness: system %s does not run %s", s, q)
 	}
 	runs := env.Opts.Warmup + 1
-	key := CellSpec{Kind: CellMicro, System: s, Query: q,
-		Selectivity: env.Opts.Selectivity, RecordSize: env.Opts.RecordSize}
+	key := storedKey(env.Opts, microCell(env.Opts, s, q))
 
 	// A stored tally is the deepest warm start: the finished breakdown
 	// for this exact (cell, platform, warm-up count), written by a
 	// previous process, with no simulation at all.
-	if cell, _, ok := env.lookupTally(key, cfg, s, q); ok {
+	if cell, _, ok := env.lookupTally(key, cfg); ok {
 		return cell, nil
 	}
 
@@ -560,7 +610,10 @@ func (env *Env) run(s engine.System, q QueryKind, cfg xeon.Config) (Cell, error)
 		return cell, err
 	}
 
-	e := env.engines[s]
+	e, err := env.engine(s)
+	if err != nil {
+		return Cell{}, err
+	}
 	plan, err := env.planFor(s, q, query)
 	if err != nil {
 		return Cell{}, err
@@ -668,9 +721,9 @@ func (env *Env) runTPCD(s engine.System, cfg xeon.Config) (Cell, error) {
 	// The suite's stream depends on the dataset dimensions but not on
 	// the selectivity knob (the 17 queries are fixed), so selectivity
 	// shifts of the same environment share one capture.
-	key := CellSpec{Kind: CellTPCD, System: s, RecordSize: env.Opts.RecordSize}
+	key := storedKey(env.Opts, CellSpec{Kind: CellTPCD, System: s})
 
-	if cell, _, ok := env.lookupTally(key, cfg, s, 0); ok {
+	if cell, _, ok := env.lookupTally(key, cfg); ok {
 		return cell, nil
 	}
 
@@ -691,7 +744,10 @@ func (env *Env) runTPCD(s engine.System, cfg xeon.Config) (Cell, error) {
 		return cell, err
 	}
 
-	e := env.engines[s]
+	e, err := env.engine(s)
+	if err != nil {
+		return Cell{}, err
+	}
 	queries := env.Dims.TPCDQueries()
 	rec := env.newRecorder(pipe)
 	var proc trace.Processor = env.processor(pipe)
@@ -742,8 +798,8 @@ func (env *Env) runTPCCCfg(s engine.System, txns int, cfg xeon.Config) (Cell, wo
 	if err := env.ctxErr(); err != nil {
 		return Cell{}, workload.TPCCStats{}, err
 	}
-	key := CellSpec{Kind: CellTPCC, System: s, Txns: txns}
-	if cell, stats, ok := env.lookupTally(key, cfg, s, 0); ok && stats != nil {
+	key := storedKey(env.Opts, CellSpec{Kind: CellTPCC, System: s, Txns: txns})
+	if cell, stats, ok := env.lookupTally(key, cfg); ok {
 		return cell, *stats, nil
 	}
 
@@ -892,10 +948,9 @@ func (env *Env) runGangMicro(unit []CellSpec, cfgs []xeon.Config) ([]Cell, error
 		return nil, fmt.Errorf("harness: system %s does not run %s", s, q)
 	}
 	runs := env.Opts.Warmup + 1
-	key := CellSpec{Kind: CellMicro, System: s, Query: q,
-		Selectivity: env.Opts.Selectivity, RecordSize: env.Opts.RecordSize}
+	key := storedKey(env.Opts, unit[0])
 
-	if cells, ok := env.lookupGangTallies(unit, cfgs, s, q); ok {
+	if cells, ok := env.lookupGangTallies(key, cfgs); ok {
 		return cells, nil
 	}
 
@@ -908,12 +963,15 @@ func (env *Env) runGangMicro(unit []CellSpec, cfgs []xeon.Config) ([]Cell, error
 			env.traces.store(key, ct)
 		}
 		if err == nil {
-			env.putGangTallies(unit, cfgs, cells, nil)
+			env.putGangTallies(key, cfgs, cells, nil)
 		}
 		return cells, err
 	}
 
-	e := env.engines[s]
+	e, err := env.engine(s)
+	if err != nil {
+		return nil, err
+	}
 	plan, err := env.planFor(s, q, query)
 	if err != nil {
 		return nil, err
@@ -956,7 +1014,7 @@ func (env *Env) runGangMicro(unit []CellSpec, cfgs []xeon.Config) ([]Cell, error
 	}
 	cells, err := finishGang(unit, q.String(), multi, res)
 	if err == nil {
-		env.putGangTallies(unit, cfgs, cells, nil)
+		env.putGangTallies(key, cfgs, cells, nil)
 	}
 	return cells, err
 }
@@ -970,9 +1028,9 @@ func (env *Env) runGangTPCD(unit []CellSpec, cfgs []xeon.Config) ([]Cell, error)
 		return nil, err
 	}
 	s := unit[0].System
-	key := CellSpec{Kind: CellTPCD, System: s, RecordSize: env.Opts.RecordSize}
+	key := storedKey(env.Opts, unit[0])
 
-	if cells, ok := env.lookupGangTallies(unit, cfgs, s, 0); ok {
+	if cells, ok := env.lookupGangTallies(key, cfgs); ok {
 		return cells, nil
 	}
 
@@ -986,12 +1044,15 @@ func (env *Env) runGangTPCD(unit []CellSpec, cfgs []xeon.Config) ([]Cell, error)
 			env.traces.store(key, ct)
 		}
 		if err == nil {
-			env.putGangTallies(unit, cfgs, cells, nil)
+			env.putGangTallies(key, cfgs, cells, nil)
 		}
 		return cells, err
 	}
 
-	e := env.engines[s]
+	e, err := env.engine(s)
+	if err != nil {
+		return nil, err
+	}
 	queries := env.Dims.TPCDQueries()
 	rec := env.newRecorder(multi)
 	var proc trace.Processor = multi
@@ -1020,7 +1081,7 @@ func (env *Env) runGangTPCD(unit []CellSpec, cfgs []xeon.Config) ([]Cell, error)
 	}
 	cells, err := finishGang(unit, "TPC-D", multi, engine.Result{})
 	if err == nil {
-		env.putGangTallies(unit, cfgs, cells, nil)
+		env.putGangTallies(key, cfgs, cells, nil)
 	}
 	return cells, err
 }
@@ -1034,9 +1095,9 @@ func (env *Env) runGangTPCC(unit []CellSpec, cfgs []xeon.Config) ([]Cell, error)
 		return nil, err
 	}
 	s, txns := unit[0].System, unit[0].Txns
-	key := CellSpec{Kind: CellTPCC, System: s, Txns: txns}
+	key := storedKey(env.Opts, unit[0])
 
-	if cells, ok := env.lookupGangTallies(unit, cfgs, s, 0); ok {
+	if cells, ok := env.lookupGangTallies(key, cfgs); ok {
 		return cells, nil
 	}
 
@@ -1052,7 +1113,7 @@ func (env *Env) runGangTPCC(unit []CellSpec, cfgs []xeon.Config) ([]Cell, error)
 			env.traces.store(key, ct)
 		}
 		if err == nil {
-			env.putGangTallies(unit, cfgs, cells, &stats)
+			env.putGangTallies(key, cfgs, cells, &stats)
 		}
 		return cells, err
 	}
@@ -1070,7 +1131,7 @@ func (env *Env) runGangTPCC(unit []CellSpec, cfgs []xeon.Config) ([]Cell, error)
 	}
 	cells, err := finishGang(unit, "TPC-C", multi, engine.Result{})
 	if err == nil {
-		env.putGangTallies(unit, cfgs, cells, &stats)
+		env.putGangTallies(key, cfgs, cells, &stats)
 	}
 	return cells, err
 }

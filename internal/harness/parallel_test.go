@@ -161,13 +161,13 @@ func TestEnvFactoryIsolation(t *testing.T) {
 	if a == b {
 		t.Fatal("factories shared an Env")
 	}
-	if a.nsm == b.nsm || a.pax == b.pax {
-		t.Error("factories shared a database")
-	}
 	for _, s := range engine.Systems() {
 		if a.Engine(s) == b.Engine(s) {
 			t.Errorf("factories shared the %s engine", s)
 		}
+	}
+	if a.data.nsm == b.data.nsm || a.data.pax == b.data.pax {
+		t.Error("factories shared a database")
 	}
 }
 

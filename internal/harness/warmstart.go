@@ -17,7 +17,9 @@ package harness
 //  3. Tally store (on disk). The finished breakdown of a cell —
 //     counts, cycle components (as float bits, so the round trip is
 //     exact), rates, result — persists keyed by (emission key, config,
-//     warm-up count). A warm process skips the simulation entirely.
+//     warm-up count). A warm process skips the simulation entirely,
+//     and the tally is checked before anything else: StoredTallies
+//     answers from the store before an environment is even built.
 //
 // Every shortcut reproduces the Section 4.3 protocol bit-for-bit: the
 // golden suite renders the grid with snapshotting on and off, and with
@@ -124,18 +126,41 @@ func (env *Env) storeKey(kind string, spec CellSpec, cfg *xeon.Config) string {
 	return tracestore.KeyHash(keyMaterial(kind, spec, cfg, env.Opts.Warmup))
 }
 
-// TallyKey returns the persistent-store index key under which the
-// finished tally of spec lives when measured at opts — the same key
-// the warm-start layer reads and writes, derived from the same
-// material. It identifies one fully costed measurement: emission key,
-// platform configuration (the spec's, or the options' when the spec
-// leaves it zero), warm-up count and emission schema. The wheretimed
-// service coalesces identical in-flight requests on it.
-func TallyKey(opts Options, spec CellSpec) string {
-	cfg := spec.Config
-	if cfg == (xeon.Config{}) {
-		cfg = opts.Config
+// storedKey returns the spec a cell's stored artifacts (tally, trace
+// ref, snapshots) are filed under: exactly the emission fields its
+// kind's run path measures, so equal measurements share one entry.
+// Micro cells keep query, selectivity and record size. A TPC-D suite
+// runs on the environment's own databases whatever the spec says, so
+// it is filed under opts.RecordSize with no query or selectivity. A
+// TPC-C mix builds its own database and keeps only the transaction
+// count. An unknown kind keeps its kind, so it can only miss. Every run
+// path and StoredTallies derive their keys here.
+func storedKey(opts Options, spec CellSpec) CellSpec {
+	switch spec.Kind {
+	case CellMicro:
+		return CellSpec{Kind: CellMicro, System: spec.System, Query: spec.Query,
+			Selectivity: spec.Selectivity, RecordSize: spec.RecordSize}
+	case CellTPCD:
+		return CellSpec{Kind: CellTPCD, System: spec.System, RecordSize: opts.RecordSize}
+	case CellTPCC:
+		return CellSpec{Kind: CellTPCC, System: spec.System, Txns: spec.Txns}
+	default:
+		return emissionKey(spec)
 	}
+}
+
+// TallyKey returns the key that names one fully costed measurement of
+// spec at opts: emission key, platform configuration (the spec's, or
+// the options' when the spec leaves it zero), warm-up count and
+// emission schema, hashed from the spec exactly as given. The
+// wheretimed service coalesces identical in-flight requests on it and
+// echoes it as the key field of every response. For micro and TPC-C
+// specs in the service's normal form it equals the index key of the
+// cell's stored tally. It does not for TPC-D, whose tally is filed
+// under the options' record size (see storedKey), so store lookups go
+// through StoredTallies, never through TallyKey.
+func TallyKey(opts Options, spec CellSpec) string {
+	cfg := opts.configFor(spec)
 	return tracestore.KeyHash(keyMaterial("tally", spec, &cfg, opts.Warmup))
 }
 
@@ -380,20 +405,22 @@ type storedTally struct {
 	Stats     *workload.TPCCStats `json:"stats,omitempty"`
 }
 
-// lookupTally reconstructs a finished cell from the store. Any decode
-// problem — wrong version, wrong shape, a breakdown that fails
-// Validate — is a miss, never an error: the cell is simply recomputed.
-func (env *Env) lookupTally(spec CellSpec, cfg xeon.Config, s engine.System, q QueryKind) (Cell, *workload.TPCCStats, bool) {
-	if env.store == nil {
+// readTally reconstructs the finished cell stored under key (a
+// storedKey) for platform cfg after warmup warm-up runs. No store, and
+// any decode problem — wrong version, wrong shape, a breakdown that
+// fails Validate, a TPC-C tally without its transaction statistics —
+// is a miss, never an error: the cell is simply recomputed.
+func readTally(store *tracestore.Store, warmup int, key CellSpec, cfg xeon.Config) (Cell, *workload.TPCCStats, bool) {
+	if store == nil {
 		return Cell{}, nil, false
 	}
-	blob, ok := env.store.GetEntry(env.storeKey("tally", spec, &cfg))
+	blob, ok := store.GetEntry(tracestore.KeyHash(keyMaterial("tally", key, &cfg, warmup)))
 	if !ok {
 		return Cell{}, nil, false
 	}
 	var t storedTally
 	if err := json.Unmarshal(blob, &t); err != nil || t.Version != tallyVersion ||
-		len(t.CycleBits) != len(core.Breakdown{}.Cycles) {
+		len(t.CycleBits) != len(core.Breakdown{}.Cycles) || (key.Kind == CellTPCC && t.Stats == nil) {
 		return Cell{}, nil, false
 	}
 	b := &core.Breakdown{Counts: t.Counts}
@@ -403,9 +430,15 @@ func (env *Env) lookupTally(spec CellSpec, cfg xeon.Config, s engine.System, q Q
 	if err := b.Validate(); err != nil {
 		return Cell{}, nil, false
 	}
-	cell := Cell{System: s, Query: q, Breakdown: b, Rates: unpackRates(t.Rates),
+	cell := Cell{System: key.System, Query: key.Query, Breakdown: b, Rates: unpackRates(t.Rates),
 		Result: engine.Result{Value: math.Float64frombits(t.ValueBits), Rows: t.Rows}}
 	return cell, t.Stats, true
+}
+
+// lookupTally is readTally on this environment's store and warm-up
+// count.
+func (env *Env) lookupTally(key CellSpec, cfg xeon.Config) (Cell, *workload.TPCCStats, bool) {
+	return readTally(env.store, env.Opts.Warmup, key, cfg)
 }
 
 // putTally persists a finished cell.
@@ -435,13 +468,16 @@ func (env *Env) putTally(spec CellSpec, cfg xeon.Config, cell Cell, stats *workl
 // lookupGangTallies returns the whole gang's cells when every member's
 // tally is stored — all-or-nothing, so a partial store still measures
 // the gang in one pass rather than mixing loaded and simulated cells.
-func (env *Env) lookupGangTallies(unit []CellSpec, cfgs []xeon.Config, s engine.System, q QueryKind) ([]Cell, bool) {
-	if env.store == nil {
-		return nil, false
-	}
-	cells := make([]Cell, len(unit))
-	for i := range unit {
-		c, _, ok := env.lookupTally(unit[i], cfgs[i], s, q)
+func (env *Env) lookupGangTallies(key CellSpec, cfgs []xeon.Config) ([]Cell, bool) {
+	return readGangTallies(env.store, env.Opts.Warmup, key, cfgs)
+}
+
+// readGangTallies is the all-or-nothing read behind lookupGangTallies
+// and StoredTallies.
+func readGangTallies(store *tracestore.Store, warmup int, key CellSpec, cfgs []xeon.Config) ([]Cell, bool) {
+	cells := make([]Cell, len(cfgs))
+	for i, cfg := range cfgs {
+		c, _, ok := readTally(store, warmup, key, cfg)
 		if !ok {
 			return nil, false
 		}
@@ -451,10 +487,54 @@ func (env *Env) lookupGangTallies(unit []CellSpec, cfgs []xeon.Config, s engine.
 }
 
 // putGangTallies persists every gang member's cell.
-func (env *Env) putGangTallies(unit []CellSpec, cfgs []xeon.Config, cells []Cell, stats *workload.TPCCStats) {
-	for i := range unit {
-		env.putTally(unit[i], cfgs[i], cells[i], stats)
+func (env *Env) putGangTallies(key CellSpec, cfgs []xeon.Config, cells []Cell, stats *workload.TPCCStats) {
+	for i, cfg := range cfgs {
+		env.putTally(key, cfg, cells[i], stats)
 	}
+}
+
+// StoredTallies answers specs from the tally store alone, with no
+// environment, no database and no simulation: the first thing
+// MeasureContext and the wheretimed flight body try. Specs are grouped
+// into the work units Measure would schedule, and each unit is
+// answered all or nothing, so a partly stored gang still measures in
+// one pass. It returns the answered cells, bit-identical to what a
+// measurement would return, and the deduplicated specs left to
+// measure. Only opts.Store is read (MeasureContext opens StoreDir into
+// it first), and only when recording is on, the same condition under
+// which an environment attaches the store.
+func StoredTallies(opts Options, specs []CellSpec) (*Results, []CellSpec) {
+	res, pending := answerUnits(opts, gangUnits(opts, dedupeSpecs(specs)))
+	var missing []CellSpec
+	for _, unit := range pending {
+		missing = append(missing, unit...)
+	}
+	return res, missing
+}
+
+// answerUnits files every unit the store answers whole into a fresh
+// result set and returns the units still to be measured, in order.
+func answerUnits(opts Options, units [][]CellSpec) (*Results, [][]CellSpec) {
+	res := &Results{cells: make(map[CellSpec]Cell)}
+	if opts.Store == nil || opts.maxRecorded() < 0 {
+		return res, units
+	}
+	var pending [][]CellSpec
+	for _, unit := range units {
+		cfgs := make([]xeon.Config, len(unit))
+		for i, spec := range unit {
+			cfgs[i] = opts.configFor(spec)
+		}
+		cells, ok := readGangTallies(opts.Store, opts.Warmup, storedKey(opts, unit[0]), cfgs)
+		if !ok {
+			pending = append(pending, unit)
+			continue
+		}
+		for i, spec := range unit {
+			res.cells[spec] = cells[i]
+		}
+	}
+	return res, pending
 }
 
 // storedTraceRef is the index entry binding a cell's emission key to

@@ -221,7 +221,7 @@ func TestStoreDirOptionFlushes(t *testing.T) {
 	}
 	env.store = s
 	cfg := env.Opts.Config
-	if _, _, ok := env.lookupTally(specs[0], cfg, engine.SystemA, SRS); !ok {
+	if _, _, ok := env.lookupTally(storedKey(env.Opts, specs[0]), cfg); !ok {
 		t.Error("flushed store has no tally for the measured cell")
 	}
 }

@@ -136,7 +136,6 @@ func newBatcher(srv *Server, window time.Duration, max int) *batcher {
 func (bt *batcher) submit(gangKey string, m *member) {
 	bt.mu.Lock()
 	defer bt.mu.Unlock()
-	bt.batched.Add(1)
 	b := bt.open[gangKey]
 	if b == nil {
 		b = &batch{gangKey: gangKey, closedCh: make(chan struct{})}
@@ -146,6 +145,9 @@ func (bt *batcher) submit(gangKey string, m *member) {
 		go bt.watch(b)
 	}
 	b.members = append(b.members, m)
+	// Counted once the member is filed and its window's timer armed, so
+	// a test that waits on the counter can advance the clock safely.
+	bt.batched.Add(1)
 	switch {
 	case bt.flushed:
 		bt.closeLocked(b, &bt.drainFlushes)

@@ -17,6 +17,7 @@ import (
 
 	"wheretime/internal/faults"
 	"wheretime/internal/trace"
+	"wheretime/internal/tracestore"
 )
 
 // Three platform-only variants of the SRS microbenchmark: same
@@ -129,6 +130,54 @@ func TestBatchedByteEquivalence(t *testing.T) {
 					vi, j, r.body, want)
 			}
 		}
+	}
+	if err := srv.Close(); err != nil {
+		t.Errorf("Close: %v", err)
+	}
+}
+
+// TestBatchTallyHitSkipsWindow: with batching on and the fake clock
+// never advanced, a stored cell answers at once with the bytes its
+// cold measurement produced, and never enters a window.
+func TestBatchTallyHitSkipsWindow(t *testing.T) {
+	store, err := tracestore.Open(t.TempDir())
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	_, cold := newTestServer(t, store, nil)
+	status, want := postCell(t, cold.URL, srsVariants[1])
+	if status != http.StatusOK {
+		t.Fatalf("cold request: status %d: %s", status, want)
+	}
+
+	srv, err := New(Config{Opts: testOpts(), Store: store, Logf: t.Logf, GangWindow: time.Hour, clk: newFakeClock()})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.BeginDrain() // before ts.Close: flushes a window a miss would wait in
+
+	res := asyncPost(t, ts.URL, srsVariants[1])
+	var r postResult
+	spinUntil(t, "the tally hit to answer", func() bool {
+		select {
+		case r = <-res:
+			return true
+		default:
+			return srv.batch.batched.Load() > 0
+		}
+	})
+	if srv.batch.batched.Load() > 0 {
+		t.Fatal("a stored cell entered the gang window")
+	}
+	if r.status != http.StatusOK || !bytes.Equal(r.body, want) {
+		t.Errorf("tally hit: status %d, body equal to cold=%v:\n%s\nvs\n%s", r.status, bytes.Equal(r.body, want), r.body, want)
+	}
+	h := health(t, ts.URL)
+	if h.Batch.BatchedRequests != 0 || h.Batch.GangsFormed != 0 || h.TallyHits != 1 || h.Simulations != 0 {
+		t.Errorf("batch %+v tallyHits %d simulations %d, want no window, one hit, no simulation",
+			h.Batch, h.TallyHits, h.Simulations)
 	}
 	if err := srv.Close(); err != nil {
 		t.Errorf("Close: %v", err)

@@ -13,14 +13,17 @@
 //	                order, the query result, and the normalized spec
 //	                the server actually measured.
 //	GET  /healthz   liveness plus operational counters: request /
-//	                simulation / coalesce / failure totals and the
-//	                store's traffic and degraded-mode stats.
+//	                simulation / coalesce / tally-hit / failure totals
+//	                and the store's traffic and degraded-mode stats.
 //	GET  /readyz    readiness: 503 once draining begins.
 //
 // Concurrent requests for the same cell coalesce on the harness tally
-// key — the same key the warm-start store memoizes under — so N
-// identical POSTs cost one simulation and N identical response bodies
-// (the response is marshaled once per flight). Distinct cells that
+// key, so N identical POSTs cost one simulation and N identical
+// response bodies (the response is marshaled once per flight). A
+// flight first asks the store for the cell's finished tally
+// (harness.StoredTallies): a hit is rendered at once and never waits
+// in a batching window, takes a worker slot or builds an environment.
+// Only misses go on to the batcher and the pool. Distinct cells that
 // share a gang key — platform-only variants of one workload — can go
 // further: with Config.GangWindow > 0 the gang batcher (batcher.go)
 // holds such requests in a bounded accumulation window and runs the
@@ -119,6 +122,7 @@ type Server struct {
 	requests    atomic.Int64
 	simulations atomic.Int64
 	coalesced   atomic.Int64
+	tallyHits   atomic.Int64
 	failures    atomic.Int64
 }
 
@@ -247,6 +251,10 @@ func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {
 	}
 	key := harness.TallyKey(s.opts, spec)
 	f, leader := s.flights.do(key, func() (int, []byte) {
+		if res, missing := harness.StoredTallies(s.opts, []harness.CellSpec{spec}); len(missing) == 0 {
+			s.tallyHits.Add(1)
+			return s.cellBody(key, spec, res)
+		}
 		if s.batch != nil {
 			return s.runBatched(key, spec, timeout)
 		}
@@ -264,11 +272,12 @@ func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// runCell is the flight body: it runs one measurement under the
-// worker-pool semaphore and the request deadline, and renders the one
-// response body every coalesced request shares. Panics — whether from
-// the fault injector or a real bug — are contained here: the flight
-// answers 500 and the server keeps serving.
+// runCell is the flight body for a cell the store could not answer:
+// it runs one measurement under the worker-pool semaphore and the
+// request deadline, and renders the one response body every coalesced
+// request shares. Panics — whether from the fault injector or a real
+// bug — are contained here: the flight answers 500 and the server
+// keeps serving.
 func (s *Server) runCell(key string, spec harness.CellSpec, timeout time.Duration) (status int, body []byte) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -399,6 +408,7 @@ type healthJSON struct {
 	Requests    int64      `json:"requests"`
 	Simulations int64      `json:"simulations"`
 	Coalesced   int64      `json:"coalesced"`
+	TallyHits   int64      `json:"tallyHits"`
 	Failures    int64      `json:"failures"`
 	Batch       *batchJSON `json:"batch,omitempty"`
 	Store       *storeJSON `json:"store,omitempty"`
@@ -414,6 +424,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Requests:    s.requests.Load(),
 		Simulations: s.simulations.Load(),
 		Coalesced:   s.coalesced.Load(),
+		TallyHits:   s.tallyHits.Load(),
 		Failures:    s.failures.Load(),
 	}
 	if bt := s.batch; bt != nil {

@@ -119,8 +119,9 @@ func TestCoalescedRequests(t *testing.T) {
 	}
 
 	h := health(t, ts.URL)
-	if h.Simulations+h.Coalesced != n {
-		t.Errorf("simulations %d + coalesced %d != %d requests", h.Simulations, h.Coalesced, n)
+	if h.Simulations+h.Coalesced+h.TallyHits != n {
+		t.Errorf("simulations %d + coalesced %d + tallyHits %d != %d requests",
+			h.Simulations, h.Coalesced, h.TallyHits, n)
 	}
 	if h.Coalesced < 1 {
 		t.Error("no request coalesced")
@@ -132,8 +133,67 @@ func TestCoalescedRequests(t *testing.T) {
 	if status != http.StatusOK || !bytes.Equal(b, bodies[0]) {
 		t.Errorf("repeat: status %d, body equal=%v", status, bytes.Equal(b, bodies[0]))
 	}
-	if h2 := health(t, ts.URL); h2.Store == nil || h2.Store.EntryHits < 1 {
+	h2 := health(t, ts.URL)
+	if h2.Store == nil || h2.Store.EntryHits < 1 {
 		t.Errorf("repeat did not hit the tally store: %+v", h2.Store)
+	}
+	if h2.TallyHits != h.TallyHits+1 || h2.Simulations != h.Simulations {
+		t.Errorf("repeat: tallyHits %d -> %d, simulations %d -> %d; want one more hit and no simulation",
+			h.TallyHits, h2.TallyHits, h.Simulations, h2.Simulations)
+	}
+	if h2.Simulations+h2.Coalesced+h2.TallyHits != n+1 {
+		t.Errorf("simulations %d + coalesced %d + tallyHits %d != %d requests",
+			h2.Simulations, h2.Coalesced, h2.TallyHits, n+1)
+	}
+	if err := srv.Close(); err != nil {
+		t.Errorf("Close: %v", err)
+	}
+}
+
+// TestTallyHitNeedsNoWorker: a stored tally answers even while the
+// only worker is held busy by another cell. The fake clock never
+// moves, so no deadline can end the held flight early.
+func TestTallyHitNeedsNoWorker(t *testing.T) {
+	store, err := tracestore.Open(t.TempDir())
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	inj := faults.New()
+	srv, err := New(Config{Opts: testOpts(), Store: store, MaxConcurrent: 1, Inj: inj, Logf: t.Logf, clk: newFakeClock()})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	status, cold := postCell(t, ts.URL, srsCell)
+	if status != http.StatusOK {
+		t.Fatalf("cold request: status %d: %s", status, cold)
+	}
+	entered, release := inj.BlockN(faults.OpWorker, 1)
+	defer release() // before ts.Close, which waits for the held request
+	held := asyncPost(t, ts.URL, `{"kind":"micro","system":"D","query":"SJ"}`)
+	<-entered // the only worker slot is taken
+
+	warm := asyncPost(t, ts.URL, srsCell)
+	var r postResult
+	spinUntil(t, "the tally hit to answer while the worker is held", func() bool {
+		select {
+		case r = <-warm:
+			return true
+		default:
+			return false
+		}
+	})
+	if r.status != http.StatusOK || !bytes.Equal(r.body, cold) {
+		t.Errorf("tally hit with the pool full: status %d, body equal to cold=%v", r.status, bytes.Equal(r.body, cold))
+	}
+	release()
+	if r := <-held; r.status != http.StatusOK {
+		t.Errorf("held request: status %d: %s", r.status, r.body)
+	}
+	if h := health(t, ts.URL); h.TallyHits != 1 || h.Simulations != 2 {
+		t.Errorf("tallyHits %d simulations %d, want 1 and 2", h.TallyHits, h.Simulations)
 	}
 	if err := srv.Close(); err != nil {
 		t.Errorf("Close: %v", err)
