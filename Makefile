@@ -39,8 +39,8 @@ bench:
 
 # The batch-equivalence smoke: renders the experiment grid through the
 # batched pipeline against the checked-in goldens, and cross-checks a
-# cell against the unbatched reference counter by counter. Fails if
-# the two pipelines disagree anywhere.
+# cell of each kind against the unbatched reference counter by counter.
+# Fails if the two pipelines disagree anywhere.
 batch-smoke:
 	$(GO) test -count=1 -run 'TestGoldenFiles|TestBatchedMatchesReferenceSubset' ./internal/harness
 
@@ -52,11 +52,12 @@ replay-smoke:
 	$(GO) test -count=1 -run 'TestGoldenFiles|TestReplayDisabledMatchesGoldens' ./internal/harness
 
 # The gang-equivalence smoke: a multi-platform grid measured through
-# the gang drain and cell by cell must agree counter for counter, and
-# the full golden grid rendered gang-off must stay byte-identical to
-# the same files the ganged default renders.
+# multi-config gangs and as gangs of one must agree counter for
+# counter, and below the harness the gang drain must match solo
+# pipeline drains (the unit test and the fuzz seeds).
 gang-smoke:
-	$(GO) test -count=1 -run 'TestGangMatchesSequential|TestGangUsesOneExecution|TestGangDisabledMatchesGoldens' ./internal/harness
+	$(GO) test -count=1 -run 'TestMultiPipelineMatchesSoloDrains|FuzzMultiDrain' ./internal/xeon
+	$(GO) test -count=1 -run 'TestGangMatchesSequential|TestGangUsesOneExecution|TestMeasureGangMatchesMeasure' ./internal/harness
 
 # The compression-equivalence smoke: the full golden grid rendered
 # with recorded traces in the columnar compressed arena (the default;
@@ -72,8 +73,8 @@ compress-smoke:
 # index-probe join) rendered against their goldens on their own small
 # grid, plus the result cross-checks against their reference
 # operators. Cheap enough for every push; the nightly full grid
-# additionally diffs the scenario cells across the unbatched /
-# replay-off / gang-off paths.
+# additionally diffs the scenario cells across the unbatched and
+# replay-off paths.
 scenario-smoke:
 	$(GO) test -count=1 -run 'TestScenarioGoldens|TestScenarioResultsConsistent|TestScenarioSystemASkipsBRS' ./internal/harness
 

@@ -81,10 +81,11 @@ var allQueries = []QueryKind{SRS, IRS, SJ}
 // set, in registry order.
 var scenarioQueries = []QueryKind{GHJ, SAG, BRS, JSA, IXJ}
 
-// validMicro reports whether (s, q) is a measurable combination:
-// System A skips the index-based kinds (IRS, BRS, IXJ) because it does
-// not use the index (Section 5.1).
-func validMicro(s engine.System, q QueryKind) bool {
+// ValidMicro reports whether the harness runs micro query q on system
+// s: System A skips the index-based kinds (IRS, BRS, IXJ) because it
+// does not use the index (Section 5.1). The grid, the run path and the
+// wheretimed request decoder all decide validity here.
+func ValidMicro(s engine.System, q QueryKind) bool {
 	if q == IRS || q == BRS || q == IXJ {
 		return engine.DefaultProfile(s).UseIndex
 	}
@@ -97,7 +98,7 @@ func microGridCells(opts Options) []CellSpec {
 	var specs []CellSpec
 	for _, q := range allQueries {
 		for _, s := range engine.Systems() {
-			if !validMicro(s, q) {
+			if !ValidMicro(s, q) {
 				continue
 			}
 			specs = append(specs, microCell(opts, s, q))
@@ -183,7 +184,7 @@ func scenarioCells(q QueryKind) func(opts Options) []CellSpec {
 	return func(opts Options) []CellSpec {
 		var specs []CellSpec
 		for _, s := range engine.Systems() {
-			if !validMicro(s, q) {
+			if !ValidMicro(s, q) {
 				continue
 			}
 			specs = append(specs, microCell(opts, s, q))
@@ -218,7 +219,7 @@ func scenarioRender(q QueryKind) func(opts Options, res *Results) ([]Table, erro
 			exec.Note = "Per selected entry of R; probe side driven from the a2 index. System A omitted (no index, Section 5.1)."
 		}
 		for _, s := range engine.Systems() {
-			if !validMicro(s, q) {
+			if !ValidMicro(s, q) {
 				continue
 			}
 			cell, err := res.Get(microCell(opts, s, q))
@@ -259,7 +260,7 @@ func fig51Render(opts Options, res *Results) ([]Table, error) {
 			t.Note = "System A omitted: it does not use the index (Section 5.1)."
 		}
 		for _, s := range engine.Systems() {
-			if !validMicro(s, q) {
+			if !ValidMicro(s, q) {
 				continue
 			}
 			cell, err := res.Get(microCell(opts, s, q))
@@ -290,7 +291,7 @@ func fig52Render(opts Options, res *Results) ([]Table, error) {
 			Header: []string{"System", "L1D", "L1I", "L2D", "L2I", "ITLB"},
 		}
 		for _, s := range engine.Systems() {
-			if !validMicro(s, q) {
+			if !ValidMicro(s, q) {
 				continue
 			}
 			cell, err := res.Get(microCell(opts, s, q))
@@ -324,7 +325,7 @@ func fig53Render(opts Options, res *Results) ([]Table, error) {
 	for _, s := range engine.Systems() {
 		row := []string{s.String()}
 		for _, q := range allQueries {
-			if !validMicro(s, q) {
+			if !ValidMicro(s, q) {
 				row = append(row, "-")
 				continue
 			}
@@ -351,7 +352,7 @@ func fig54aRender(opts Options, res *Results) ([]Table, error) {
 		row := []string{s.String()}
 		var btb string
 		for _, q := range allQueries {
-			if !validMicro(s, q) {
+			if !ValidMicro(s, q) {
 				row = append(row, "-")
 				continue
 			}
@@ -410,7 +411,7 @@ func fig55Render(opts Options, res *Results) ([]Table, error) {
 		depRow := []string{s.String()}
 		fuRow := []string{s.String()}
 		for _, q := range allQueries {
-			if !validMicro(s, q) {
+			if !ValidMicro(s, q) {
 				depRow = append(depRow, "-")
 				fuRow = append(fuRow, "-")
 				continue

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"os"
 	"testing"
 
 	"wheretime/internal/engine"
@@ -11,11 +10,11 @@ import (
 // The gang-drain equivalence suite. The multi-config gang drain may
 // change how cells are scheduled and how many times a stream is
 // emitted or read — never a single counter of a single cell. These
-// tests pin that: the same specs measured gang-on and gang-off (and
-// through the grid at different worker counts) must agree on every
-// counter, stall component and hardware rate, and the full golden
-// grid rendered with the gang disabled must stay byte-identical to
-// the checked-in files.
+// tests pin that: the same specs measured as multi-config gangs, as
+// gangs of one, and through the grid at different worker counts must
+// agree on every counter, stall component and hardware rate. Below
+// the harness, TestMultiPipelineMatchesSoloDrains and FuzzMultiDrain
+// pin the gang drain against solo pipelines.
 
 // gangSweepConfigs returns platforms that stress different simulator
 // structures: the paper's platform, a 2MB L2, a big BTB, and halved
@@ -65,9 +64,30 @@ func compareCells(t *testing.T, spec CellSpec, got, want Cell) {
 	}
 }
 
+// measureSequential is the reference the gang is compared with: one
+// environment measuring each spec through RunSpec, a gang of one per
+// cell, so every platform drains its stream separately.
+func measureSequential(t *testing.T, opts Options, specs []CellSpec) map[CellSpec]Cell {
+	t.Helper()
+	env, err := NewEnv(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	cells := make(map[CellSpec]Cell, len(specs))
+	for _, spec := range specs {
+		c, err := env.RunSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells[spec] = c
+	}
+	return cells
+}
+
 // TestGangMatchesSequential measures a multi-platform grid twice —
 // ganged (one pass per emission key feeding all platforms) and
-// sequential (each cell drained alone) — and asserts every counter of
+// sequential (each cell a gang of one) — and asserts every counter of
 // every platform's cell is identical.
 func TestGangMatchesSequential(t *testing.T) {
 	opts := DefaultOptions()
@@ -84,22 +104,13 @@ func TestGangMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := opts
-	seq.Gang = false
-	solo, err := Measure(seq, specs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	solo := measureSequential(t, opts, specs)
 	for _, spec := range specs {
 		g, err := gang.Get(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := solo.Get(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		compareCells(t, spec, g, s)
+		compareCells(t, spec, g, solo[spec])
 	}
 }
 
@@ -128,30 +139,6 @@ func TestGangParallelMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		compareCells(t, spec, p, s)
-	}
-}
-
-// TestGangDisabledMatchesGoldens renders the full experiment grid
-// with the gang drain disabled and diffs it against the same goldens
-// the ganged default renders: the gang-off debugging path may not
-// change a single byte of any figure.
-func TestGangDisabledMatchesGoldens(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full experiment grid in -short mode")
-	}
-	opts := goldenOptions()
-	opts.Gang = false
-	got := renderGolden(t, opts)
-	for _, e := range Experiments() {
-		t.Run(e.Name, func(t *testing.T) {
-			want, err := os.ReadFile(goldenPath(e.Name))
-			if err != nil {
-				t.Fatalf("missing golden (run TestGoldenFiles with -update first): %v", err)
-			}
-			if got[e.Name] != string(want) {
-				t.Errorf("gang-disabled output differs from golden for %s", e.Name)
-			}
-		})
 	}
 }
 

@@ -112,12 +112,16 @@ func TestUnbatchedMatchesGoldens(t *testing.T) {
 	}
 }
 
-// TestBatchedMatchesReferenceSubset is the -short safety net: one
-// microbenchmark cell measured both ways must agree exactly on every
-// counter and stall component, not just on rendered digits.
+// TestBatchedMatchesReferenceSubset is the -short safety net: a cell
+// of each kind — two microbenchmark queries, a TPC-D suite and a TPC-C
+// mix — measured both ways must agree exactly on every counter and
+// stall component, not just on rendered digits. It checks the
+// unbatched reference wrapper on the one run path for all three kinds.
 func TestBatchedMatchesReferenceSubset(t *testing.T) {
 	opts := goldenOptions()
-	opts.Scale = 0.002
+	// Equivalence does not depend on dataset size, and a small scale
+	// keeps the TPC-D pass affordable under the race detector.
+	opts.Scale = 0.0005
 	batched, err := NewEnv(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -127,25 +131,31 @@ func TestBatchedMatchesReferenceSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range []QueryKind{SRS, SJ} {
-		b, err := batched.RunSpec(microCell(batched.Opts, engine.SystemD, q))
+	specs := []CellSpec{
+		microCell(opts, engine.SystemD, SRS),
+		microCell(opts, engine.SystemD, SJ),
+		{Kind: CellTPCD, System: engine.SystemB},
+		{Kind: CellTPCC, System: engine.SystemC, Txns: 40},
+	}
+	for _, spec := range specs {
+		b, err := batched.RunSpec(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := reference.RunSpec(microCell(reference.Opts, engine.SystemD, q))
+		r, err := reference.RunSpec(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if b.Breakdown.Counts != r.Breakdown.Counts {
 			t.Errorf("%s: batched counts differ from reference:\n got %+v\nwant %+v",
-				q, b.Breakdown.Counts, r.Breakdown.Counts)
+				spec, b.Breakdown.Counts, r.Breakdown.Counts)
 		}
 		if b.Breakdown.Cycles != r.Breakdown.Cycles {
 			t.Errorf("%s: batched stall cycles differ from reference:\n got %v\nwant %v",
-				q, b.Breakdown.Cycles, r.Breakdown.Cycles)
+				spec, b.Breakdown.Cycles, r.Breakdown.Cycles)
 		}
 		if b.Rates != r.Rates {
-			t.Errorf("%s: batched hardware rates differ from reference", q)
+			t.Errorf("%s: batched hardware rates differ from reference", spec)
 		}
 	}
 }

@@ -110,27 +110,26 @@ func microCell(opts Options, s engine.System, q QueryKind) CellSpec {
 	}
 }
 
-// RunSpec measures one grid cell against this environment, building
-// and caching a sub-environment when the cell's record size differs
-// from the base. Not safe for concurrent use — the concurrent grid
-// gives each worker a private Env via EnvFactory.
+// RunSpec measures one grid cell against this environment as a gang
+// of one, building and caching a sub-environment when the cell's
+// record size differs from the base. Micro and TPC-D cells are
+// memoised; TPC-C cells are not, so a revisit replays from the trace
+// cache. Not safe for concurrent use — the concurrent grid gives each
+// worker a private Env via EnvFactory.
 func (env *Env) RunSpec(spec CellSpec) (Cell, error) {
-	cfg := env.Opts.configFor(spec)
-	switch spec.Kind {
-	case CellTPCD:
-		return env.runTPCDMemo(spec.System, cfg)
-	case CellTPCC:
-		cell, _, err := env.runTPCCCfg(spec.System, spec.Txns, cfg)
-		return cell, err
-	case CellMicro:
-		target, err := env.microTarget(spec)
-		if err != nil {
-			return Cell{}, err
-		}
-		return target.runMemo(spec.System, spec.Query, cfg)
-	default:
-		return Cell{}, fmt.Errorf("harness: unknown cell kind %d", spec.Kind)
+	key := storedKey(env.Opts, spec)
+	key.Config = env.Opts.configFor(spec)
+	if c, ok := env.memo[key]; ok {
+		return c, nil
 	}
+	cells, err := env.RunGang([]CellSpec{spec})
+	if err != nil {
+		return Cell{}, err
+	}
+	if spec.Kind != CellTPCC {
+		env.memo[key] = cells[0]
+	}
+	return cells[0], nil
 }
 
 // microTarget routes a micro cell to the environment it measures in:
@@ -146,9 +145,8 @@ func (env *Env) microTarget(spec CellSpec) (*Env, error) {
 		target = sub
 	}
 	if spec.Selectivity != target.Opts.Selectivity {
-		// A shallow copy shares the databases, engines and memo map
-		// (the memo key includes selectivity); only the query text
-		// changes.
+		// A shallow copy shares the databases, engines and caches;
+		// only the query text changes.
 		shifted := *target
 		shifted.Opts.Selectivity = spec.Selectivity
 		target = &shifted
@@ -160,29 +158,12 @@ func (env *Env) microTarget(spec CellSpec) (*Env, error) {
 // key (same system, query and workload parameters) and differ only in
 // platform configuration. The whole gang is one work unit on one
 // multi-config drain — the engine executes (or the recording is read)
-// once for all K configurations. Each cell's counters are
-// bit-identical to measuring it alone; the golden suite runs the grid
-// both gang-on and gang-off against the same files.
+// once for all K configurations (see measure). Each cell's counters
+// are bit-identical to measuring it alone as a gang of one, which the
+// gang equivalence suite pins.
 func (env *Env) RunGang(unit []CellSpec) ([]Cell, error) {
-	cfgs := make([]xeon.Config, len(unit))
-	for i := range unit {
-		cfgs[i] = env.Opts.configFor(unit[i])
-	}
-	spec := unit[0]
-	switch spec.Kind {
-	case CellTPCD:
-		return env.runGangTPCD(unit, cfgs)
-	case CellTPCC:
-		return env.runGangTPCC(unit, cfgs)
-	case CellMicro:
-		target, err := env.microTarget(spec)
-		if err != nil {
-			return nil, err
-		}
-		return target.runGangMicro(unit, cfgs)
-	default:
-		return nil, fmt.Errorf("harness: unknown cell kind %d", spec.Kind)
-	}
+	cells, _, err := env.measure(unit)
+	return cells, err
 }
 
 // subEnv returns the cached environment rebuilt at the given record
@@ -427,15 +408,14 @@ func dedupeSpecs(specs []CellSpec) []CellSpec {
 	return out
 }
 
-// gangUnits partitions deduplicated specs into scheduler work units.
-// With the gang drain enabled, cells sharing an emission-relevant key
-// — the same key the trace cache uses, everything but the platform
-// Config — form one multi-config unit; order is first-seen, so the
-// serial path remains deterministic. With it disabled (or on the
-// unbatched reference path, which measures one event at a time), every
-// cell is its own unit.
+// gangUnits partitions deduplicated specs into scheduler work units:
+// cells sharing an emission-relevant key — the same key the trace
+// cache uses, everything but the platform Config — form one
+// multi-config unit; order is first-seen, so the serial path remains
+// deterministic. On the unbatched reference path, which measures one
+// event at a time, every cell is its own unit.
 func gangUnits(opts Options, specs []CellSpec) [][]CellSpec {
-	if !opts.Gang || opts.Unbatched {
+	if opts.Unbatched {
 		units := make([][]CellSpec, len(specs))
 		for i, s := range specs {
 			units[i] = []CellSpec{s}
@@ -458,23 +438,12 @@ func gangUnits(opts Options, specs []CellSpec) [][]CellSpec {
 	return units
 }
 
-// measureUnit runs one work unit on an environment: the gang drain
-// when enabled, the per-cell path otherwise.
-func measureUnit(env *Env, unit []CellSpec, gang bool) ([]Cell, error) {
-	if gang {
-		cells, err := env.RunGang(unit)
-		if err != nil {
-			return nil, fmt.Errorf("gang of %d x %s: %w", len(unit), unit[0], err)
-		}
-		return cells, nil
-	}
-	cells := make([]Cell, len(unit))
-	for i, spec := range unit {
-		c, err := env.RunSpec(spec)
-		if err != nil {
-			return nil, fmt.Errorf("cell %s: %w", spec, err)
-		}
-		cells[i] = c
+// measureUnit runs one work unit on an environment, naming the unit
+// in any error.
+func measureUnit(env *Env, unit []CellSpec) ([]Cell, error) {
+	cells, err := env.RunGang(unit)
+	if err != nil {
+		return nil, fmt.Errorf("unit %s (K=%d): %w", unit[0], len(unit), err)
 	}
 	return cells, nil
 }
@@ -534,7 +503,6 @@ func MeasureContext(ctx context.Context, opts Options, specs []CellSpec, paralle
 	}
 	opts.Context = ctx
 	specs = dedupeSpecs(specs)
-	gang := opts.Gang && !opts.Unbatched
 	units := gangUnits(opts, specs)
 	total := len(units)
 
@@ -585,7 +553,7 @@ func MeasureContext(ctx context.Context, opts Options, specs []CellSpec, paralle
 			if cerr := ctx.Err(); cerr != nil {
 				return res, finish(&PartialError{Done: done, Total: total, Err: cerr})
 			}
-			cells, err := measureUnit(env, unit, gang)
+			cells, err := measureUnit(env, unit)
 			if err != nil {
 				if cerr := ctx.Err(); cerr != nil {
 					// The unit stopped at an in-cell cancellation
@@ -625,7 +593,7 @@ func MeasureContext(ctx context.Context, opts Options, specs []CellSpec, paralle
 					registered = true
 				}
 				var cells []Cell
-				cells, err = measureUnit(env, units[i], gang)
+				cells, err = measureUnit(env, units[i])
 				outcomes[i] = outcome{cells: cells, err: err}
 			} else {
 				outcomes[i] = outcome{err: err}
@@ -674,7 +642,7 @@ func MeasureContext(ctx context.Context, opts Options, specs []CellSpec, paralle
 // rather than split, because silently batching incompatible cells is
 // exactly the failure mode the gang key exists to prevent. Each
 // cell's result is bit-identical to measuring it alone, which
-// TestMeasureGangMatchesMeasure pins against the gang-off path.
+// TestMeasureGangMatchesMeasure pins against one RunSpec per spec.
 func MeasureGang(opts Options, specs []CellSpec) (*Results, error) {
 	return MeasureGangContext(context.Background(), opts, specs)
 }
@@ -697,7 +665,6 @@ func MeasureGangContext(ctx context.Context, opts Options, specs []CellSpec) (*R
 			return nil, fmt.Errorf("harness: MeasureGang: %s does not share an emission key with %s", s, specs[0])
 		}
 	}
-	opts.Gang = true
 	return MeasureContext(ctx, opts, specs, 1)
 }
 

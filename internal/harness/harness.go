@@ -103,14 +103,6 @@ type Options struct {
 	// both ways and diffs them. Slower — for verification, not for
 	// experiments.
 	Unbatched bool
-	// Gang enables the multi-config gang drain: grid cells that differ
-	// only in platform Config group into single work units measured in
-	// one pass over their shared event stream through a
-	// xeon.MultiPipeline (see Measure and RunGang). Off, every cell
-	// drains its stream separately — the debugging reference; outputs
-	// are byte-identical either way, which the golden suite checks.
-	// DefaultOptions enables it.
-	Gang bool
 	// MaxRecordedEvents caps the event count of one record-once /
 	// replay-many capture: a cell whose stream exceeds the cap falls
 	// back to re-executing every run (so huge decision-support suites
@@ -248,7 +240,6 @@ func DefaultOptions() Options {
 		Selectivity: 0.10,
 		Config:      xeon.DefaultConfig(),
 		Warmup:      1,
-		Gang:        true,
 		Snapshot:    true,
 	}
 }
@@ -276,9 +267,10 @@ type Env struct {
 	// Env — share one build instead of each paying for their own.
 	data *envData
 
-	// memo caches measured cells at the env's own options, so several
-	// figures over the same cells don't re-simulate.
-	memo map[memoKey]Cell
+	// memo caches measured micro and TPC-D cells, keyed by stored key
+	// plus resolved platform, so several figures over the same cells
+	// don't re-simulate.
+	memo map[CellSpec]Cell
 
 	// subenvs caches environments rebuilt at other record sizes (the
 	// record-size sweeps), keyed by record size.
@@ -319,13 +311,6 @@ type envData struct {
 	engines [4]*engine.Engine
 }
 
-type memoKey struct {
-	s   engine.System
-	q   QueryKind
-	sel float64
-	cfg xeon.Config
-}
-
 // Dims returns the dataset dimensions these options build, without
 // building the data.
 func (o Options) Dims() workload.Dims {
@@ -344,7 +329,7 @@ func NewEnv(opts Options) (*Env, error) {
 		return nil, fmt.Errorf("workload: record size %d below minimum %d", dims.RecordSize, storage.MinRecordSize)
 	}
 	env := &Env{Opts: opts, Dims: dims, data: &envData{},
-		memo: make(map[memoKey]Cell), subenvs: make(map[int]*Env)}
+		memo: make(map[CellSpec]Cell), subenvs: make(map[int]*Env)}
 	if opts.maxRecorded() >= 0 {
 		env.traces = newTraceCache(opts.traceCacheBytes())
 		if opts.Snapshot {
@@ -423,17 +408,16 @@ func (env *Env) Engine(s engine.System) *engine.Engine {
 	return e
 }
 
-// queryFor returns the SQL and plan for a (system, query) pair, and
-// whether the pair is valid (System A skips the index-based kinds IRS
-// and BRS: it does not use the index, Section 5.1).
+// queryFor returns the SQL for a (system, query) pair, and whether
+// the pair is valid (see ValidMicro).
 func (env *Env) queryFor(s engine.System, q QueryKind) (string, bool) {
+	if !ValidMicro(s, q) {
+		return "", false
+	}
 	switch q {
 	case SRS:
 		return env.Dims.QuerySRS(env.Opts.Selectivity), true
 	case IRS:
-		if !engine.DefaultProfile(s).UseIndex {
-			return "", false
-		}
 		return env.Dims.QueryIRS(env.Opts.Selectivity), true
 	case SJ:
 		return env.Dims.QuerySJ(), true
@@ -442,16 +426,10 @@ func (env *Env) queryFor(s engine.System, q QueryKind) (string, bool) {
 	case SAG:
 		return env.Dims.QuerySAG(env.Opts.Selectivity), true
 	case BRS:
-		if !engine.DefaultProfile(s).UseIndex {
-			return "", false
-		}
 		return env.Dims.QueryBRS(env.Opts.Selectivity), true
 	case JSA:
 		return env.Dims.QueryJSA(), true
 	case IXJ:
-		if !engine.DefaultProfile(s).UseIndex {
-			return "", false
-		}
 		return env.Dims.QueryIXJ(env.Opts.Selectivity), true
 	default:
 		return "", false
@@ -494,13 +472,12 @@ func (env *Env) planFor(s engine.System, q QueryKind, query string) (*sql.Plan, 
 	return plan, nil
 }
 
-// Run measures one (system, query) cell: warm-up runs, counter reset,
-// then one measured run, the warm-cache protocol of Section 4.3 —
-// with the engine executing once and the recorded stream replayed for
-// the repeat runs (see run). Results are memoised per (system, query,
-// selectivity, platform).
+// Run measures one (system, query) cell at the environment's options:
+// warm-up runs, counter reset, then one measured run, the warm-cache
+// protocol of Section 4.3 (see measure). Results are memoised per
+// (system, query, selectivity, platform).
 func (env *Env) Run(s engine.System, q QueryKind) (Cell, error) {
-	return env.runMemo(s, q, env.Opts.Config)
+	return env.RunSpec(microCell(env.Opts, s, q))
 }
 
 // ctxErr reports the environment's cancellation state: nil without a
@@ -517,25 +494,49 @@ func (env *Env) ctxErr() error {
 	return nil
 }
 
-// runMemo is Run on an explicit platform configuration.
-func (env *Env) runMemo(s engine.System, q QueryKind, cfg xeon.Config) (Cell, error) {
-	if err := env.ctxErr(); err != nil {
-		return Cell{}, err
-	}
-	key := memoKey{s: s, q: q, sel: env.Opts.Selectivity, cfg: cfg}
-	if env.memo != nil {
-		if c, ok := env.memo[key]; ok {
-			return c, nil
+// RunAll measures every valid (system, query) cell, scenario kinds
+// included.
+func (env *Env) RunAll() ([]Cell, error) {
+	var cells []Cell
+	for _, q := range append(append([]QueryKind{}, allQueries...), scenarioQueries...) {
+		for _, s := range engine.Systems() {
+			if !ValidMicro(s, q) {
+				continue
+			}
+			c, err := env.Run(s, q)
+			if err != nil {
+				return nil, err
+			}
+			cells = append(cells, c)
 		}
 	}
-	c, err := env.run(s, q, cfg)
-	if err == nil && env.memo != nil {
-		env.memo[key] = c
-	}
-	return c, err
+	return cells, nil
 }
 
-// processor returns the event sink a measurement feeds: the pipeline
+// RunTPCD runs the 17-query decision-support suite on one system and
+// returns the summed breakdown (the paper reports TPC-D averages).
+// Results are memoised.
+func (env *Env) RunTPCD(s engine.System) (Cell, error) {
+	return env.RunSpec(CellSpec{Kind: CellTPCD, System: s})
+}
+
+// RunTPCC runs the OLTP mix on one system. Unlike the read-only
+// cells, the mix mutates the database as it runs, so the warm-up slice
+// and the measured mix emit different streams and a single call
+// executes both for real; what the recorder buys here is the
+// cross-cell cache: a revisit of the same (system, txns) cell replays
+// both captured phases into a fresh pipeline without rebuilding the
+// database or executing a single transaction. It is not memoised, so a
+// revisit always goes back through that cache.
+func (env *Env) RunTPCC(s engine.System, txns int) (Cell, workload.TPCCStats, error) {
+	cells, stats, err := env.measure([]CellSpec{{Kind: CellTPCC, System: s, Txns: txns}})
+	if err != nil {
+		return Cell{}, stats, err
+	}
+	return cells[0], stats, nil
+}
+
+// processor returns the event sink a measurement feeds: the gang
 // itself (batched drain), or its unbatched reference wrapper when the
 // options ask for the per-event path.
 func (env *Env) processor(p trace.Processor) trace.Processor {
@@ -557,299 +558,196 @@ func (env *Env) newRecorder(sink trace.Processor) *trace.Recorder {
 	return rec
 }
 
-// finishCell assembles and validates the measured breakdown.
-func finishCell(s engine.System, q QueryKind, what string, pipe *xeon.Pipeline, res engine.Result) (Cell, error) {
-	b := pipe.Breakdown()
-	if err := b.Validate(); err != nil {
-		return Cell{}, fmt.Errorf("harness: %s/%s breakdown invalid: %w", s, what, err)
+// measure is the one measurement protocol behind every entry point. A
+// unit is one cell or a gang of cells that share an emission key and
+// differ only in platform configuration; K=1 is a lone cell. All K
+// configurations drain through one xeon.MultiPipeline, so the engine
+// executes (or the capture is read) once for the whole unit, and each
+// configuration's counters are bit-identical to draining it alone.
+//
+// The protocol tries the cheapest answer first:
+//
+//  1. stored tallies — the finished breakdowns for this exact (cell,
+//     platform, warm-up count), written by a previous process, with no
+//     simulation at all (all or nothing across the unit);
+//  2. a capture — in this worker's cache or loaded from the store —
+//     which feeds every run of the warm-cache protocol with zero
+//     engine emission, the snapshot layer skipping the runs whose
+//     outcome is already known;
+//  3. live execution: runWarm for micro and TPC-D cells, runOLTP for
+//     the TPC-C mix, both capturing the stream for the next visit.
+//
+// The finished cells are then validated and their tallies stored. The
+// TPC-C transaction statistics ride beside the cells (zero for the
+// other kinds).
+func (env *Env) measure(unit []CellSpec) ([]Cell, workload.TPCCStats, error) {
+	var stats workload.TPCCStats
+	if err := env.ctxErr(); err != nil {
+		return nil, stats, err
 	}
-	return Cell{System: s, Query: q, Breakdown: b, Rates: pipe.Rates(), Result: res}, nil
-}
-
-// run measures one (system, query) cell under the record-once /
-// replay-many protocol. Every run of the cell — warm-up or measured —
-// starts from reset engine emission state, so every run emits the
-// byte-identical event stream and the stream is a pure function of the
-// cell spec. The first execution is captured by a Recorder interposed
-// on the batch flush path; the remaining warm-up runs and the measured
-// run drain the captured chunks straight back into the pipeline with
-// zero re-emission. If recording is disabled (Unbatched, negative
-// MaxRecordedEvents) or the stream overflows the cap, every run
-// re-executes the engine instead — the slower path with the identical
-// event sequence, which the replay-smoke CI step diffs against.
-func (env *Env) run(s engine.System, q QueryKind, cfg xeon.Config) (Cell, error) {
-	query, ok := env.queryFor(s, q)
-	if !ok {
-		return Cell{}, fmt.Errorf("harness: system %s does not run %s", s, q)
+	spec := unit[0]
+	runs := 0 // unused by TPC-C, whose two phases are different streams
+	switch spec.Kind {
+	case CellMicro:
+		if !ValidMicro(spec.System, spec.Query) {
+			return nil, stats, fmt.Errorf("harness: system %s does not run %s", spec.System, spec.Query)
+		}
+		target, err := env.microTarget(spec)
+		if err != nil {
+			return nil, stats, err
+		}
+		env = target
+		runs = env.Opts.Warmup + 1
+	case CellTPCD:
+		// One warm-up pass plus the measured pass, independent of
+		// Options.Warmup.
+		runs = 2
+	case CellTPCC:
+	default:
+		return nil, stats, fmt.Errorf("harness: unknown cell kind %d", spec.Kind)
 	}
-	runs := env.Opts.Warmup + 1
-	key := storedKey(env.Opts, microCell(env.Opts, s, q))
-
-	// A stored tally is the deepest warm start: the finished breakdown
-	// for this exact (cell, platform, warm-up count), written by a
-	// previous process, with no simulation at all.
-	if cell, _, ok := env.lookupTally(key, cfg); ok {
-		return cell, nil
+	cfgs := make([]xeon.Config, len(unit))
+	for i := range unit {
+		cfgs[i] = env.Opts.configFor(unit[i])
+	}
+	key := storedKey(env.Opts, spec)
+	if cells, st, ok := readGangTallies(env.store, env.Opts.Warmup, key, cfgs); ok {
+		return cells, st, nil
 	}
 
-	pipe := xeon.New(cfg)
-
-	// A capture hit — in this worker's cache or loaded from the store —
-	// skips the engine entirely: the recorded stream feeds every run of
-	// the warm-cache protocol, with the snapshot layer skipping the
-	// runs whose outcome is already known.
+	multi := xeon.NewMulti(cfgs)
+	var res engine.Result
+	var err error
 	if ct, fromStore := env.cellStream(key); ct != nil {
-		env.drainWarmSolo(pipe, ct.stream, key, cfg, runs, 0)
-		cell, err := finishCell(s, q, q.String(), pipe, ct.result)
+		if spec.Kind == CellTPCC {
+			env.warmOLTP(multi, ct, key, cfgs)
+			multi.ResetStats()
+			ct.stream.Drain(multi)
+		} else {
+			env.drainWarm(multi, ct.stream, key, cfgs, runs, 0)
+		}
+		res, stats = ct.result, ct.stats
 		if fromStore {
 			env.traces.store(key, ct)
 		}
-		if err == nil {
-			env.putTally(key, cfg, cell, nil)
+	} else if spec.Kind == CellTPCC {
+		stats, err = env.runOLTP(spec.System, spec.Txns, multi, key, cfgs)
+	} else {
+		var exec func(trace.Processor) (engine.Result, error)
+		if exec, err = env.executor(spec); err == nil {
+			res, err = env.runWarm(multi, key, cfgs, runs, exec)
 		}
-		return cell, err
+	}
+	if err != nil {
+		return nil, stats, err
 	}
 
-	e, err := env.engine(s)
-	if err != nil {
-		return Cell{}, err
+	cells := make([]Cell, len(unit))
+	for i := range unit {
+		pipe := multi.Pipe(i)
+		b := pipe.Breakdown()
+		if err := b.Validate(); err != nil {
+			return nil, stats, fmt.Errorf("harness: %s breakdown invalid: %w", unit[i], err)
+		}
+		cells[i] = Cell{System: unit[i].System, Query: unit[i].Query, Breakdown: b, Rates: pipe.Rates(), Result: res}
 	}
-	plan, err := env.planFor(s, q, query)
-	if err != nil {
-		return Cell{}, err
+	var tallyStats *workload.TPCCStats
+	if spec.Kind == CellTPCC {
+		tallyStats = &stats
 	}
+	for i, cfg := range cfgs {
+		env.putTally(key, cfg, cells[i], tallyStats)
+	}
+	return cells, stats, nil
+}
 
-	// First execution, captured in flight when recording is enabled.
-	rec := env.newRecorder(pipe)
-	var proc trace.Processor = env.processor(pipe)
+// executor returns how one run of a micro or TPC-D cell executes from
+// reset engine state into a sink: the cell's planned query, or one
+// pass over the 17 decision-support queries (planning included, so a
+// replay skips the SQL front end entirely). It builds the databases
+// and plans on first use, which only the live path reaches.
+func (env *Env) executor(spec CellSpec) (func(trace.Processor) (engine.Result, error), error) {
+	e, err := env.engine(spec.System)
+	if err != nil {
+		return nil, err
+	}
+	if spec.Kind == CellTPCD {
+		queries := env.Dims.TPCDQueries()
+		return func(proc trace.Processor) (engine.Result, error) {
+			e.ResetState()
+			for _, q := range queries {
+				if _, err := e.Query(q, proc); err != nil {
+					return engine.Result{}, err
+				}
+			}
+			return engine.Result{}, nil
+		}, nil
+	}
+	query, _ := env.queryFor(spec.System, spec.Query)
+	plan, err := env.planFor(spec.System, spec.Query, query)
+	if err != nil {
+		return nil, err
+	}
+	return func(proc trace.Processor) (engine.Result, error) {
+		e.ResetState()
+		return e.Run(plan, proc)
+	}, nil
+}
+
+// runWarm executes the warm-cache protocol live: runs-1 warm-up runs,
+// counter reset, one measured run. Every run starts from reset engine
+// emission state, so every run emits the byte-identical event stream
+// and the stream is a pure function of the cell spec. The first
+// execution is captured by a Recorder interposed on the batch flush
+// path; the remaining runs drain the capture straight back into the
+// gang (see drainWarm), and the capture is kept for later visits. If
+// recording is disabled (Unbatched, negative MaxRecordedEvents) or the
+// stream overflows the cap, every run re-executes instead — the slower
+// path with the identical event sequence, still emitting once for the
+// whole gang. That loop checks for cancellation between runs; replay
+// drains are in-memory passes and run to completion.
+func (env *Env) runWarm(multi *xeon.MultiPipeline, key CellSpec, cfgs []xeon.Config, runs int, exec func(trace.Processor) (engine.Result, error)) (engine.Result, error) {
+	rec := env.newRecorder(multi)
+	proc := env.processor(multi)
 	if rec != nil {
 		proc = rec
 	}
 	if runs == 1 {
-		pipe.ResetStats() // the first execution is the measured run
+		multi.ResetStats() // the first execution is the measured run
 	}
-	e.ResetState()
-	res, err := e.Run(plan, proc)
+	res, err := exec(proc)
 	if err != nil {
-		return Cell{}, err
-	}
-
-	// Remaining warm-up runs and the measured run: replay the capture,
-	// or re-execute from reset state when no capture exists. The
-	// re-execution loop is the slow leg, so it checks for cancellation
-	// between runs; replay drains are pure in-memory passes and run to
-	// completion (nothing to leak, nothing slow to interrupt).
-	if rec != nil && !rec.Overflowed() {
-		env.drainWarmSolo(pipe, rec.Recording(), key, cfg, runs, 1)
-	} else {
-		for i := 1; i < runs; i++ {
-			if err := env.ctxErr(); err != nil {
-				return Cell{}, err
-			}
-			if i == runs-1 {
-				pipe.ResetStats()
-			}
-			e.ResetState()
-			if res, err = e.Run(plan, env.processor(pipe)); err != nil {
-				return Cell{}, err
-			}
-		}
+		return res, err
 	}
 	if rec != nil && !rec.Overflowed() {
+		env.drainWarm(multi, rec.Recording(), key, cfgs, runs, 1)
 		ct := &cellTrace{stream: rec.Recording(), result: res}
 		env.putStoredTrace(key, ct)
 		env.traces.store(key, ct)
+		return res, nil
 	}
-	cell, err := finishCell(s, q, q.String(), pipe, res)
-	if err == nil {
-		env.putTally(key, cfg, cell, nil)
-	}
-	return cell, err
-}
-
-// RunAll measures every valid (system, query) cell, scenario kinds
-// included.
-func (env *Env) RunAll() ([]Cell, error) {
-	var cells []Cell
-	for _, q := range append(append([]QueryKind{}, allQueries...), scenarioQueries...) {
-		for _, s := range engine.Systems() {
-			if _, ok := env.queryFor(s, q); !ok {
-				continue
-			}
-			c, err := env.Run(s, q)
-			if err != nil {
-				return nil, err
-			}
-			cells = append(cells, c)
+	for i := 1; i < runs; i++ {
+		if err := env.ctxErr(); err != nil {
+			return res, err
+		}
+		if i == runs-1 {
+			multi.ResetStats()
+		}
+		if res, err = exec(env.processor(multi)); err != nil {
+			return res, err
 		}
 	}
-	return cells, nil
-}
-
-// RunTPCD runs the 17-query decision-support suite on one system and
-// returns the summed breakdown (the paper reports TPC-D averages).
-// Results are memoised.
-func (env *Env) RunTPCD(s engine.System) (Cell, error) {
-	return env.runTPCDMemo(s, env.Opts.Config)
-}
-
-// runTPCDMemo is RunTPCD on an explicit platform configuration.
-func (env *Env) runTPCDMemo(s engine.System, cfg xeon.Config) (Cell, error) {
-	if err := env.ctxErr(); err != nil {
-		return Cell{}, err
-	}
-	key := memoKey{s: s, q: QueryKind(-1), cfg: cfg}
-	if env.memo != nil {
-		if c, ok := env.memo[key]; ok {
-			return c, nil
-		}
-	}
-	c, err := env.runTPCD(s, cfg)
-	if err == nil && env.memo != nil {
-		env.memo[key] = c
-	}
-	return c, err
-}
-
-// runTPCD measures the decision-support suite under the same
-// record-once protocol as run: one pass over the 17 queries is one
-// "run" of the cell, every pass starts from reset engine state and so
-// emits the identical stream, and the measured pass replays the
-// captured warm-up pass (planning included — replay skips the SQL
-// front end entirely).
-func (env *Env) runTPCD(s engine.System, cfg xeon.Config) (Cell, error) {
-	// The suite's stream depends on the dataset dimensions but not on
-	// the selectivity knob (the 17 queries are fixed), so selectivity
-	// shifts of the same environment share one capture.
-	key := storedKey(env.Opts, CellSpec{Kind: CellTPCD, System: s})
-
-	if cell, _, ok := env.lookupTally(key, cfg); ok {
-		return cell, nil
-	}
-
-	pipe := xeon.New(cfg)
-	// The TPC-D protocol is one warm-up pass plus the measured pass —
-	// two runs, independent of Options.Warmup.
-	const tpcdRuns = 2
-
-	if ct, fromStore := env.cellStream(key); ct != nil {
-		env.drainWarmSolo(pipe, ct.stream, key, cfg, tpcdRuns, 0)
-		cell, err := finishCell(s, 0, "TPC-D", pipe, engine.Result{})
-		if fromStore {
-			env.traces.store(key, ct)
-		}
-		if err == nil {
-			env.putTally(key, cfg, cell, nil)
-		}
-		return cell, err
-	}
-
-	e, err := env.engine(s)
-	if err != nil {
-		return Cell{}, err
-	}
-	queries := env.Dims.TPCDQueries()
-	rec := env.newRecorder(pipe)
-	var proc trace.Processor = env.processor(pipe)
-	if rec != nil {
-		proc = rec
-	}
-	// Warm-up pass over the suite, captured in flight.
-	e.ResetState()
-	for _, q := range queries {
-		if _, err := e.Query(q, proc); err != nil {
-			return Cell{}, err
-		}
-	}
-	if rec != nil && !rec.Overflowed() {
-		env.drainWarmSolo(pipe, rec.Recording(), key, cfg, tpcdRuns, 1)
-		ct := &cellTrace{stream: rec.Recording()}
-		env.putStoredTrace(key, ct)
-		env.traces.store(key, ct)
-	} else {
-		pipe.ResetStats()
-		e.ResetState()
-		for _, q := range queries {
-			if _, err := e.Query(q, env.processor(pipe)); err != nil {
-				return Cell{}, err
-			}
-		}
-	}
-	cell, err := finishCell(s, 0, "TPC-D", pipe, engine.Result{})
-	if err == nil {
-		env.putTally(key, cfg, cell, nil)
-	}
-	return cell, err
-}
-
-// RunTPCC runs the OLTP mix on one system. Unlike the read-only
-// cells, the mix mutates the database as it runs, so the warm-up slice
-// and the measured mix emit different streams and a single call
-// executes both for real; what the recorder buys here is the
-// cross-cell cache: a revisit of the same (system, txns) cell replays
-// both captured phases into a fresh pipeline without rebuilding the
-// database or executing a single transaction.
-func (env *Env) RunTPCC(s engine.System, txns int) (Cell, workload.TPCCStats, error) {
-	return env.runTPCCCfg(s, txns, env.Opts.Config)
-}
-
-// runTPCCCfg is RunTPCC on an explicit platform configuration.
-func (env *Env) runTPCCCfg(s engine.System, txns int, cfg xeon.Config) (Cell, workload.TPCCStats, error) {
-	if err := env.ctxErr(); err != nil {
-		return Cell{}, workload.TPCCStats{}, err
-	}
-	key := storedKey(env.Opts, CellSpec{Kind: CellTPCC, System: s, Txns: txns})
-	if cell, stats, ok := env.lookupTally(key, cfg); ok {
-		return cell, *stats, nil
-	}
-
-	pipe := xeon.New(cfg)
-	if ct, fromStore := env.cellStream(key); ct != nil {
-		env.warmOLTP(pipe, ct, key, cfg)
-		pipe.ResetStats()
-		ct.stream.Drain(pipe)
-		cell, err := finishCell(s, 0, "TPC-C", pipe, engine.Result{})
-		stats := ct.stats
-		if fromStore {
-			env.traces.store(key, ct)
-		}
-		if err == nil {
-			env.putTally(key, cfg, cell, &stats)
-		}
-		return cell, stats, err
-	}
-
-	stats, err := env.runOLTP(s, txns, pipe, key, func() {
-		if env.snapshotOn() {
-			env.snapStore(key, cfg, pipe.Snapshot(nil))
-		}
-	})
-	if err != nil {
-		return Cell{}, stats, err
-	}
-	cell, err := finishCell(s, 0, "TPC-C", pipe, engine.Result{})
-	if err == nil {
-		env.putTally(key, cfg, cell, &stats)
-	}
-	return cell, stats, err
-}
-
-// measureSink is the drain a measurement protocol feeds: a solo
-// pipeline or a multi-config gang.
-type measureSink interface {
-	trace.BatchProcessor
-	ResetStats()
+	return res, nil
 }
 
 // runOLTP executes the OLTP mix for real: warm-up slice, counter
 // reset, measured mix, with both phases captured for cache revisits.
 // The whole mix emits through the env's reusable buffer (re-bound per
 // phase, never reallocated), preserving today's program order exactly.
-// meas is the drain — a solo pipeline or a gang — whose counters the
-// caller extracts afterwards. postWarm runs between the warm-up
-// slice's flush and the counter reset: the caller's chance to
-// snapshot the post-warm-up machine state for future revisits.
-func (env *Env) runOLTP(s engine.System, txns int, meas measureSink, key CellSpec, postWarm func()) (workload.TPCCStats, error) {
+// Between the warm-up slice's flush and the counter reset, each
+// configuration's post-warm-up machine state is snapshotted for future
+// revisits.
+func (env *Env) runOLTP(s engine.System, txns int, multi *xeon.MultiPipeline, key CellSpec, cfgs []xeon.Config) (workload.TPCCStats, error) {
 	dims := workload.DefaultTPCCDims()
 	db, err := workload.BuildTPCC(dims)
 	if err != nil {
@@ -861,24 +759,27 @@ func (env *Env) runOLTP(s engine.System, txns int, meas measureSink, key CellSpe
 		if rec != nil {
 			return rec
 		}
-		return env.processor(meas)
+		return env.processor(multi)
 	}
 	// Warm up with a slice of the mix.
-	warmRec := env.newRecorder(meas)
+	warmRec := env.newRecorder(multi)
 	buf := env.emitBuffer(sink(warmRec))
 	if _, err := workload.RunTPCC(db, e, buf, txns/4+1); err != nil {
 		return workload.TPCCStats{}, err
 	}
 	buf.Flush()
-	if postWarm != nil {
-		postWarm()
+	if env.snapshotOn() {
+		st := multi.Snapshot(nil)
+		for i, cfg := range cfgs {
+			env.snapStore(key, cfg, st.At(i))
+		}
 	}
-	meas.ResetStats()
+	multi.ResetStats()
 	var measRec *trace.Recorder
 	if warmRec != nil && !warmRec.Overflowed() {
 		// Only worth capturing the measured mix if the warm-up slice
 		// fit: a cache entry needs both phases.
-		measRec = env.newRecorder(meas)
+		measRec = env.newRecorder(multi)
 	}
 	buf.Bind(sink(measRec))
 	stats, err := workload.RunTPCC(db, e, buf, txns)
@@ -914,226 +815,3 @@ func (env *Env) emitBuffer(sink trace.Processor) *trace.Buffer {
 	}
 	return env.oltpBuf
 }
-
-// finishGang extracts one cell per ganged configuration from the
-// multi-config drain, in unit order.
-func finishGang(unit []CellSpec, what string, multi *xeon.MultiPipeline, res engine.Result) ([]Cell, error) {
-	cells := make([]Cell, len(unit))
-	for i := range unit {
-		c, err := finishCell(unit[i].System, unit[i].Query, what, multi.Pipe(i), res)
-		if err != nil {
-			return nil, err
-		}
-		cells[i] = c
-	}
-	return cells, nil
-}
-
-// runGangMicro measures one micro cell's gang: K platform
-// configurations over the identical emitted stream, under exactly the
-// protocol of run — every run starts from reset engine state, the
-// first execution is captured in flight, and warm-up plus measured
-// runs drain the capture. One pass over each stream feeds all K
-// configurations, so the engine executes (or the arena is read) once
-// instead of K times; if the stream overflows the recording cap, the
-// fallback re-executes the engine per run, still emitting once for
-// the whole gang.
-func (env *Env) runGangMicro(unit []CellSpec, cfgs []xeon.Config) ([]Cell, error) {
-	if err := env.ctxErr(); err != nil {
-		return nil, err
-	}
-	s, q := unit[0].System, unit[0].Query
-	query, ok := env.queryFor(s, q)
-	if !ok {
-		return nil, fmt.Errorf("harness: system %s does not run %s", s, q)
-	}
-	runs := env.Opts.Warmup + 1
-	key := storedKey(env.Opts, unit[0])
-
-	if cells, ok := env.lookupGangTallies(key, cfgs); ok {
-		return cells, nil
-	}
-
-	multi := xeon.NewMulti(cfgs)
-
-	if ct, fromStore := env.cellStream(key); ct != nil {
-		env.drainWarmGang(multi, ct.stream, key, cfgs, runs, 0)
-		cells, err := finishGang(unit, q.String(), multi, ct.result)
-		if fromStore {
-			env.traces.store(key, ct)
-		}
-		if err == nil {
-			env.putGangTallies(key, cfgs, cells, nil)
-		}
-		return cells, err
-	}
-
-	e, err := env.engine(s)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := env.planFor(s, q, query)
-	if err != nil {
-		return nil, err
-	}
-
-	rec := env.newRecorder(multi)
-	var proc trace.Processor = multi
-	if rec != nil {
-		proc = rec
-	}
-	if runs == 1 {
-		multi.ResetStats() // the first execution is the measured run
-	}
-	e.ResetState()
-	res, err := e.Run(plan, proc)
-	if err != nil {
-		return nil, err
-	}
-
-	if rec != nil && !rec.Overflowed() {
-		env.drainWarmGang(multi, rec.Recording(), key, cfgs, runs, 1)
-	} else {
-		for i := 1; i < runs; i++ {
-			if err := env.ctxErr(); err != nil {
-				return nil, err
-			}
-			if i == runs-1 {
-				multi.ResetStats()
-			}
-			e.ResetState()
-			if res, err = e.Run(plan, multi); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if rec != nil && !rec.Overflowed() {
-		ct := &cellTrace{stream: rec.Recording(), result: res}
-		env.putStoredTrace(key, ct)
-		env.traces.store(key, ct)
-	}
-	cells, err := finishGang(unit, q.String(), multi, res)
-	if err == nil {
-		env.putGangTallies(key, cfgs, cells, nil)
-	}
-	return cells, err
-}
-
-// runGangTPCD measures one system's TPC-D gang under the protocol of
-// runTPCD: a captured warm-up pass replayed for the measured pass,
-// re-execution when the suite's stream overflows the cap — either way
-// one emission or arena pass for all K configurations.
-func (env *Env) runGangTPCD(unit []CellSpec, cfgs []xeon.Config) ([]Cell, error) {
-	if err := env.ctxErr(); err != nil {
-		return nil, err
-	}
-	s := unit[0].System
-	key := storedKey(env.Opts, unit[0])
-
-	if cells, ok := env.lookupGangTallies(key, cfgs); ok {
-		return cells, nil
-	}
-
-	multi := xeon.NewMulti(cfgs)
-	const tpcdRuns = 2
-
-	if ct, fromStore := env.cellStream(key); ct != nil {
-		env.drainWarmGang(multi, ct.stream, key, cfgs, tpcdRuns, 0)
-		cells, err := finishGang(unit, "TPC-D", multi, engine.Result{})
-		if fromStore {
-			env.traces.store(key, ct)
-		}
-		if err == nil {
-			env.putGangTallies(key, cfgs, cells, nil)
-		}
-		return cells, err
-	}
-
-	e, err := env.engine(s)
-	if err != nil {
-		return nil, err
-	}
-	queries := env.Dims.TPCDQueries()
-	rec := env.newRecorder(multi)
-	var proc trace.Processor = multi
-	if rec != nil {
-		proc = rec
-	}
-	e.ResetState()
-	for _, q := range queries {
-		if _, err := e.Query(q, proc); err != nil {
-			return nil, err
-		}
-	}
-	if rec != nil && !rec.Overflowed() {
-		env.drainWarmGang(multi, rec.Recording(), key, cfgs, tpcdRuns, 1)
-		ct := &cellTrace{stream: rec.Recording()}
-		env.putStoredTrace(key, ct)
-		env.traces.store(key, ct)
-	} else {
-		multi.ResetStats()
-		e.ResetState()
-		for _, q := range queries {
-			if _, err := e.Query(q, multi); err != nil {
-				return nil, err
-			}
-		}
-	}
-	cells, err := finishGang(unit, "TPC-D", multi, engine.Result{})
-	if err == nil {
-		env.putGangTallies(key, cfgs, cells, nil)
-	}
-	return cells, err
-}
-
-// runGangTPCC measures one (system, txns) OLTP gang: the mix executes
-// once (see runOLTP) with every configuration draining the emitted
-// stream, or replays a cached capture's two phases into the whole
-// gang.
-func (env *Env) runGangTPCC(unit []CellSpec, cfgs []xeon.Config) ([]Cell, error) {
-	if err := env.ctxErr(); err != nil {
-		return nil, err
-	}
-	s, txns := unit[0].System, unit[0].Txns
-	key := storedKey(env.Opts, unit[0])
-
-	if cells, ok := env.lookupGangTallies(key, cfgs); ok {
-		return cells, nil
-	}
-
-	multi := xeon.NewMulti(cfgs)
-
-	if ct, fromStore := env.cellStream(key); ct != nil {
-		env.warmOLTPGang(multi, ct, key, cfgs)
-		multi.ResetStats()
-		ct.stream.Drain(multi)
-		cells, err := finishGang(unit, "TPC-C", multi, engine.Result{})
-		stats := ct.stats
-		if fromStore {
-			env.traces.store(key, ct)
-		}
-		if err == nil {
-			env.putGangTallies(key, cfgs, cells, &stats)
-		}
-		return cells, err
-	}
-
-	stats, err := env.runOLTP(s, txns, multi, key, func() {
-		if env.snapshotOn() {
-			st := multi.Snapshot(nil)
-			for i, cfg := range cfgs {
-				env.snapStore(key, cfg, st.At(i))
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	cells, err := finishGang(unit, "TPC-C", multi, engine.Result{})
-	if err == nil {
-		env.putGangTallies(key, cfgs, cells, &stats)
-	}
-	return cells, err
-}
-
-var _ trace.Processor = (*xeon.Pipeline)(nil)

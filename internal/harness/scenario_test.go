@@ -14,10 +14,10 @@ import (
 // Scenario coverage: the scenario experiments (ghj, sortagg, btree,
 // joinsort, idxjoin) ride the same golden matrix as every other
 // experiment —
-// TestGoldenFiles, TestUnbatchedMatchesGoldens,
-// TestReplayDisabledMatchesGoldens and TestGangDisabledMatchesGoldens
-// all iterate the registry, so the new cells are diffed against the
-// same files across all four drain paths. The tests here add the
+// TestGoldenFiles, TestUnbatchedMatchesGoldens and
+// TestReplayDisabledMatchesGoldens all iterate the registry, so the
+// new cells are diffed against the same files across all three drain
+// paths. The tests here add the
 // cheap, per-push checks: a goldens smoke that measures only the
 // scenario grid, and result cross-checks between each scenario
 // operator and its reference access path.

@@ -47,8 +47,9 @@ const snapMemoCap = 128
 
 // snapKey identifies a post-warm-up pipeline state: the emission key
 // names the stream that warmed the pipeline, the config names the
-// platform it warmed. Gang members share the solo path's entries —
-// a gang pipe's state after warm-up is identical to the solo pipe's.
+// platform it warmed. Entries are per configuration, so gangs of any
+// size share them — a gang pipe's state after warm-up does not depend
+// on which other configurations drained beside it.
 type snapKey struct {
 	spec CellSpec
 	cfg  xeon.Config
@@ -213,71 +214,27 @@ func (env *Env) snapStore(spec CellSpec, cfg xeon.Config, st *xeon.State) {
 	}
 }
 
-// drainWarmSolo applies the Section 4.3 protocol to a captured stream
-// on one pipeline: runs-1 warm-up drains, ResetStats, one measured
-// drain — with done passes already performed live by the caller (1 on
-// the cold path, whose first execution was captured in flight; 0 on a
-// cache hit). With the snapshot layer on, a memoized post-warm-up
-// state replaces the remaining warm-up drains with one restore; and
-// each warm-up drain's state is compared with the previous one, so a
-// fixed point stops warm-up early — every further pass is provably a
-// no-op because the next drain's outcome depends only on this state.
-// Either shortcut leaves the pipeline exactly where the full protocol
-// would; the golden suite pins this across every leg.
-func (env *Env) drainWarmSolo(pipe *xeon.Pipeline, stream *trace.Recording, spec CellSpec, cfg xeon.Config, runs, done int) {
+// drainWarm applies the Section 4.3 protocol to a captured stream on
+// a gang: runs-1 warm-up drains, ResetStats, one measured drain — with
+// done passes already performed live by the caller (1 on the cold
+// path, whose first execution was captured in flight; 0 on a cache
+// hit). With the snapshot layer on, memoized post-warm-up states
+// replace the remaining warm-up drains with one restore; and each
+// warm-up drain's state is compared with the previous one, so a fixed
+// point stops warm-up early — every further pass is provably a no-op
+// because the next drain's outcome depends only on this state.
+// Snapshots are looked up and stored per configuration, and a restore
+// is all-or-nothing (RestoreStates geometry-checks the whole gang
+// before touching any pipe), so a partial memo falls back to
+// draining. Either shortcut leaves every pipe exactly where the full
+// protocol would; the golden suite pins this across every leg.
+func (env *Env) drainWarm(multi *xeon.MultiPipeline, stream *trace.Recording, spec CellSpec, cfgs []xeon.Config, runs, done int) {
 	if done >= runs {
 		return
 	}
 	warm := runs - 1
 	if env.snapshotOn() && warm > 0 {
-		if st := env.snapLookup(spec, cfg); st != nil && pipe.Restore(st) == nil {
-			pipe.ResetStats()
-			stream.Drain(pipe)
-			return
-		}
-		var prev, cur *xeon.State
-		for i := done; i < warm; i++ {
-			stream.Drain(pipe)
-			cur = pipe.Snapshot(cur)
-			if cur.Equal(prev) {
-				break // fixed point: the remaining warm-up passes are no-ops
-			}
-			prev, cur = cur, prev
-		}
-		env.snapStore(spec, cfg, pipe.Snapshot(prev))
-		pipe.ResetStats()
-		stream.Drain(pipe)
-		return
-	}
-	for i := done; i < runs; i++ {
-		if i == runs-1 {
-			pipe.ResetStats()
-		}
-		stream.Drain(pipe)
-	}
-}
-
-// drainWarmGang is drainWarmSolo on a multi-config gang. Snapshots
-// are looked up and stored per configuration under the same keys the
-// solo path uses — a gang pipe's post-warm-up state is identical to
-// the solo pipe's for the same (stream, config) — and a restore is
-// all-or-nothing (RestoreStates geometry-checks the whole gang before
-// touching any pipe), so a partial memo falls back to draining.
-func (env *Env) drainWarmGang(multi *xeon.MultiPipeline, stream *trace.Recording, spec CellSpec, cfgs []xeon.Config, runs, done int) {
-	if done >= runs {
-		return
-	}
-	warm := runs - 1
-	if env.snapshotOn() && warm > 0 {
-		states := make([]*xeon.State, len(cfgs))
-		all := true
-		for i, cfg := range cfgs {
-			if states[i] = env.snapLookup(spec, cfg); states[i] == nil {
-				all = false
-				break
-			}
-		}
-		if all && multi.RestoreStates(states) == nil {
+		if env.restoreAll(multi, spec, cfgs) {
 			multi.ResetStats()
 			stream.Drain(multi)
 			return
@@ -287,14 +244,11 @@ func (env *Env) drainWarmGang(multi *xeon.MultiPipeline, stream *trace.Recording
 			stream.Drain(multi)
 			cur = multi.Snapshot(cur)
 			if cur.Equal(prev) {
-				break
+				break // fixed point: the remaining warm-up passes are no-ops
 			}
 			prev, cur = cur, prev
 		}
-		final := multi.Snapshot(prev)
-		for i, cfg := range cfgs {
-			env.snapStore(spec, cfg, final.At(i))
-		}
+		env.snapStoreAll(multi.Snapshot(prev), spec, cfgs)
 		multi.ResetStats()
 		stream.Drain(multi)
 		return
@@ -307,46 +261,39 @@ func (env *Env) drainWarmGang(multi *xeon.MultiPipeline, stream *trace.Recording
 	}
 }
 
-// warmOLTP brings a pipeline to the post-warm-up point of the TPC-C
-// protocol from a cached capture: a snapshot restore when one is
-// memoized, the captured warm slice otherwise. No fixed-point loop —
-// the warm slice runs exactly once and is a different stream from the
-// measured mix.
-func (env *Env) warmOLTP(pipe *xeon.Pipeline, ct *cellTrace, spec CellSpec, cfg xeon.Config) {
-	if env.snapshotOn() {
-		if st := env.snapLookup(spec, cfg); st != nil && pipe.Restore(st) == nil {
-			return
-		}
-		ct.warm.Drain(pipe)
-		env.snapStore(spec, cfg, pipe.Snapshot(nil))
-		return
-	}
-	ct.warm.Drain(pipe)
-}
-
-// warmOLTPGang is warmOLTP on a gang, per-config keys, all-or-nothing
-// restore.
-func (env *Env) warmOLTPGang(multi *xeon.MultiPipeline, ct *cellTrace, spec CellSpec, cfgs []xeon.Config) {
-	if env.snapshotOn() {
-		states := make([]*xeon.State, len(cfgs))
-		all := true
-		for i, cfg := range cfgs {
-			if states[i] = env.snapLookup(spec, cfg); states[i] == nil {
-				all = false
-				break
-			}
-		}
-		if all && multi.RestoreStates(states) == nil {
-			return
-		}
-		ct.warm.Drain(multi)
-		st := multi.Snapshot(nil)
-		for i, cfg := range cfgs {
-			env.snapStore(spec, cfg, st.At(i))
-		}
+// warmOLTP brings a gang to the post-warm-up point of the TPC-C
+// protocol from a cached capture: a snapshot restore when every
+// configuration's state is memoized, the captured warm slice
+// otherwise. No fixed-point loop — the warm slice runs exactly once
+// and is a different stream from the measured mix.
+func (env *Env) warmOLTP(multi *xeon.MultiPipeline, ct *cellTrace, spec CellSpec, cfgs []xeon.Config) {
+	if env.snapshotOn() && env.restoreAll(multi, spec, cfgs) {
 		return
 	}
 	ct.warm.Drain(multi)
+	if env.snapshotOn() {
+		env.snapStoreAll(multi.Snapshot(nil), spec, cfgs)
+	}
+}
+
+// restoreAll restores every configuration's memoized post-warm-up
+// state into the gang, all or nothing, and reports whether it did.
+func (env *Env) restoreAll(multi *xeon.MultiPipeline, spec CellSpec, cfgs []xeon.Config) bool {
+	states := make([]*xeon.State, len(cfgs))
+	for i, cfg := range cfgs {
+		if states[i] = env.snapLookup(spec, cfg); states[i] == nil {
+			return false
+		}
+	}
+	return multi.RestoreStates(states) == nil
+}
+
+// snapStoreAll memoizes each configuration's state from a gang
+// snapshot.
+func (env *Env) snapStoreAll(st *xeon.MultiState, spec CellSpec, cfgs []xeon.Config) {
+	for i, cfg := range cfgs {
+		env.snapStore(spec, cfg, st.At(i))
+	}
 }
 
 // tallyVersion tags the storedTally JSON layout; traceRefVersion the
@@ -435,12 +382,6 @@ func readTally(store *tracestore.Store, warmup int, key CellSpec, cfg xeon.Confi
 	return cell, t.Stats, true
 }
 
-// lookupTally is readTally on this environment's store and warm-up
-// count.
-func (env *Env) lookupTally(key CellSpec, cfg xeon.Config) (Cell, *workload.TPCCStats, bool) {
-	return readTally(env.store, env.Opts.Warmup, key, cfg)
-}
-
 // putTally persists a finished cell.
 func (env *Env) putTally(spec CellSpec, cfg xeon.Config, cell Cell, stats *workload.TPCCStats) {
 	if env.store == nil {
@@ -465,32 +406,24 @@ func (env *Env) putTally(spec CellSpec, cfg xeon.Config, cell Cell, stats *workl
 	env.store.PutEntry(env.storeKey("tally", spec, &cfg), blob)
 }
 
-// lookupGangTallies returns the whole gang's cells when every member's
+// readGangTallies returns a whole unit's cells when every member's
 // tally is stored — all-or-nothing, so a partial store still measures
-// the gang in one pass rather than mixing loaded and simulated cells.
-func (env *Env) lookupGangTallies(key CellSpec, cfgs []xeon.Config) ([]Cell, bool) {
-	return readGangTallies(env.store, env.Opts.Warmup, key, cfgs)
-}
-
-// readGangTallies is the all-or-nothing read behind lookupGangTallies
-// and StoredTallies.
-func readGangTallies(store *tracestore.Store, warmup int, key CellSpec, cfgs []xeon.Config) ([]Cell, bool) {
+// the unit in one pass rather than mixing loaded and simulated cells —
+// with the TPC-C transaction statistics the tallies carry.
+func readGangTallies(store *tracestore.Store, warmup int, key CellSpec, cfgs []xeon.Config) ([]Cell, workload.TPCCStats, bool) {
+	var stats workload.TPCCStats
 	cells := make([]Cell, len(cfgs))
 	for i, cfg := range cfgs {
-		c, _, ok := readTally(store, warmup, key, cfg)
+		c, st, ok := readTally(store, warmup, key, cfg)
 		if !ok {
-			return nil, false
+			return nil, stats, false
+		}
+		if st != nil {
+			stats = *st
 		}
 		cells[i] = c
 	}
-	return cells, true
-}
-
-// putGangTallies persists every gang member's cell.
-func (env *Env) putGangTallies(key CellSpec, cfgs []xeon.Config, cells []Cell, stats *workload.TPCCStats) {
-	for i, cfg := range cfgs {
-		env.putTally(key, cfg, cells[i], stats)
-	}
+	return cells, stats, true
 }
 
 // StoredTallies answers specs from the tally store alone, with no
@@ -525,7 +458,7 @@ func answerUnits(opts Options, units [][]CellSpec) (*Results, [][]CellSpec) {
 		for i, spec := range unit {
 			cfgs[i] = opts.configFor(spec)
 		}
-		cells, ok := readGangTallies(opts.Store, opts.Warmup, storedKey(opts, unit[0]), cfgs)
+		cells, _, ok := readGangTallies(opts.Store, opts.Warmup, storedKey(opts, unit[0]), cfgs)
 		if !ok {
 			pending = append(pending, unit)
 			continue
@@ -581,7 +514,7 @@ func (env *Env) putStoredTrace(spec CellSpec, ct *cellTrace) {
 	env.store.PutEntry(env.storeKey("trace", spec, nil), blob)
 }
 
-// loadStoredTrace fetches a persisted capture. Like lookupTally, every
+// loadStoredTrace fetches a persisted capture. Like readTally, every
 // decode problem is a miss; a ref whose trace files went missing or
 // corrupt releases whatever loaded and recomputes.
 func (env *Env) loadStoredTrace(spec CellSpec) (*cellTrace, bool) {

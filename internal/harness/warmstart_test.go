@@ -60,7 +60,7 @@ func TestSnapshotRestoreMatchesDrain(t *testing.T) {
 
 	for _, q := range []QueryKind{SRS, IRS, SJ, GHJ} {
 		for _, s := range engine.Systems() {
-			if !validMicro(s, q) {
+			if !ValidMicro(s, q) {
 				continue
 			}
 			name := s.String() + "/" + q.String()
@@ -74,11 +74,11 @@ func TestSnapshotRestoreMatchesDrain(t *testing.T) {
 			}
 			diffCellsExact(t, name+" first", a, b)
 
-			// Clear the memos so the revisit goes back through run():
+			// Clear the memos so the revisit goes back through measure():
 			// the snapshot env restores its memoized post-warm-up state
 			// and drains once, the plain env drains all Warmup+1 times.
-			snapEnv.memo = map[memoKey]Cell{}
-			plainEnv.memo = map[memoKey]Cell{}
+			snapEnv.memo = map[CellSpec]Cell{}
+			plainEnv.memo = map[CellSpec]Cell{}
 			a2, err := snapEnv.Run(s, q)
 			if err != nil {
 				t.Fatal(err)
@@ -105,8 +105,8 @@ func TestSnapshotRestoreMatchesDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	diffCellsExact(t, "D/TPC-D", a, b)
-	snapEnv.memo = map[memoKey]Cell{}
-	plainEnv.memo = map[memoKey]Cell{}
+	snapEnv.memo = map[CellSpec]Cell{}
+	plainEnv.memo = map[CellSpec]Cell{}
 	a2, err := snapEnv.RunTPCD(engine.SystemD)
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +221,7 @@ func TestStoreDirOptionFlushes(t *testing.T) {
 	}
 	env.store = s
 	cfg := env.Opts.Config
-	if _, _, ok := env.lookupTally(storedKey(env.Opts, specs[0]), cfg); !ok {
+	if _, _, ok := readTally(env.store, env.Opts.Warmup, storedKey(env.Opts, specs[0]), cfg); !ok {
 		t.Error("flushed store has no tally for the measured cell")
 	}
 }

@@ -427,6 +427,7 @@ func TestSpecValidation(t *testing.T) {
 		{"bad system", `{"kind":"micro","system":"E","query":"SRS"}`, "unknown system"},
 		{"lowercase system", `{"kind":"micro","system":"b","query":"SRS"}`, "unknown system"},
 		{"bad query", `{"kind":"micro","system":"B","query":"DROP"}`, "unknown query"},
+		{"unrunnable pair", `{"kind":"micro","system":"A","query":"IRS"}`, "does not run"},
 		{"selectivity high", `{"kind":"micro","system":"B","query":"SRS","selectivity":1.5}`, "selectivity"},
 		{"recsize odd", `{"kind":"micro","system":"B","query":"SRS","recordSize":27}`, "recordSize"},
 		{"recsize huge", `{"kind":"micro","system":"B","query":"SRS","recordSize":65536}`, "recordSize"},
@@ -487,5 +488,13 @@ func TestSpecValidation(t *testing.T) {
 	var e map[string]string
 	if err := json.Unmarshal(b, &e); err != nil || e["error"] == "" {
 		t.Errorf("400 body %q is not the JSON error shape", b)
+	}
+	// A pair the harness does not run is the client's mistake: a 400
+	// before any worker slot, not a counted failure.
+	if status, b := postCell(t, ts.URL, `{"kind":"micro","system":"A","query":"IRS"}`); status != http.StatusBadRequest {
+		t.Errorf("A/IRS: status %d (%s), want 400", status, b)
+	}
+	if h := health(t, ts.URL); h.Failures != 0 {
+		t.Errorf("failures = %d after a rejected spec, want 0", h.Failures)
 	}
 }

@@ -113,6 +113,9 @@ func decodeSpec(opts harness.Options, maxTimeout time.Duration, body io.Reader) 
 		if err != nil {
 			return harness.CellSpec{}, 0, err
 		}
+		if !harness.ValidMicro(sys, q) {
+			return harness.CellSpec{}, 0, fmt.Errorf("system %s does not run %s", sys, q)
+		}
 		spec.Query = q
 		spec.Selectivity = opts.Selectivity
 		if req.Selectivity != nil {
